@@ -3,6 +3,7 @@
 //! a separate traced run, per layer.  `README.md` beside this crate
 //! says why each workload exists and what every metric means.
 
+pub mod calib;
 pub mod derive;
 pub mod spans;
 
@@ -21,6 +22,7 @@ use mcd_core::snapshot;
 use mcd_sim::SimResult;
 use mcd_workloads::{Benchmark, SharedTrace};
 
+use calib::{Clock, Reference, Sample};
 use spans::{Span, Tracer};
 
 /// End-to-end metrics (name, unit), printed by every untraced run.
@@ -111,6 +113,9 @@ pub struct Budgets {
     pub kernel_instructions: u64,
     /// Set-ups timed per run; `setup_s` is their median.
     pub setup_repeats: usize,
+    /// Engine constructions per timed set-up sample on `table6` and
+    /// `sweep` (one takes well under a microsecond).
+    pub engine_setups_per_sample: usize,
     /// Closed-loop calls made even when the time is up.
     pub min_calls: usize,
 }
@@ -122,7 +127,8 @@ impl Budgets {
             table6_instructions: 30_000,
             sweep_instructions: 60_000,
             kernel_instructions: 60_000,
-            setup_repeats: 21,
+            setup_repeats: 15,
+            engine_setups_per_sample: 10_000,
             min_calls: 3,
         }
     }
@@ -297,14 +303,14 @@ pub fn sweep_plan() -> RunPlan {
 
 /// Calls `call` until `seconds` have passed and at least `min_calls`
 /// calls were made, each issued only after the previous one returned.
-/// `call` returns the host seconds of its own timed part.
-fn closed_loop(seconds: f64, min_calls: usize, mut call: impl FnMut() -> f64) -> Vec<f64> {
+/// Returns what each call returned.
+fn closed_loop<T>(seconds: f64, min_calls: usize, mut call: impl FnMut() -> T) -> Vec<T> {
     let start = Instant::now();
-    let mut walls = Vec::new();
-    while walls.len() < min_calls || start.elapsed().as_secs_f64() < seconds {
-        walls.push(call());
+    let mut out = Vec::new();
+    while out.len() < min_calls || start.elapsed().as_secs_f64() < seconds {
+        out.push(call());
     }
-    walls
+    out
 }
 
 fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
@@ -363,15 +369,16 @@ struct Table6Facts {
     global_runs: u64,
 }
 
-/// One untraced `table6` call.  Returns its wall time and the engine's
-/// simulated instructions per host µs over it (the global-match search
+/// One untraced `table6` call, timed on `clock`.  Returns its sample
+/// and the engine's simulated instructions (the global-match search
 /// bypasses the engine, so its re-simulations are not counted).
 fn table6_call(
     settings: &ExperimentSettings,
+    clock: &mut Clock,
     report: &mut Report,
     reference: &mut Option<Table6>,
-) -> (f64, f64) {
-    let ((table, stats), wall) = timed(|| table6::run_with_stats(settings));
+) -> (Sample, u64) {
+    let ((table, stats), sample) = clock.time(|| table6::run_with_stats(settings));
     report.check(
         stats.simulated_instructions == stats.runs as u64 * settings.instructions,
         || "table6 engine runs commit exactly their budget".into(),
@@ -385,7 +392,7 @@ fn table6_call(
             "repeated table6 call equals the first".into()
         }),
     }
-    (wall, stats.simulated_instructions as f64 / (wall * 1e6))
+    (sample, stats.simulated_instructions)
 }
 
 /// The `Global (...)` row of Table 6, averaged as `table6::run` does.
@@ -716,72 +723,111 @@ fn record_walls(report: &mut Report, key: &str, walls: &[f64]) {
     report.info(key, format!("[{}]", list.join(", ")));
 }
 
+/// Times `repeats` set-up samples on `clock`, each of `per_sample`
+/// calls of `setup`.
+fn time_setups<T>(
+    clock: &mut Clock,
+    repeats: usize,
+    per_sample: usize,
+    mut setup: impl FnMut() -> T,
+) -> Vec<Sample> {
+    (0..repeats)
+        .map(|_| {
+            let ((), sample) = clock.time(|| {
+                for _ in 0..per_sample {
+                    std::hint::black_box(setup());
+                }
+            });
+            sample.per(per_sample)
+        })
+        .collect()
+}
+
 fn untraced(opts: &Options, budgets: &Budgets, workers: usize, report: &mut Report) {
     let off = Tracer::disabled();
     let t6: Vec<ExperimentSettings> = fidelity_seeds(opts.seed)
         .iter()
         .map(|&seed| table6_settings(seed, budgets, workers))
         .collect();
-    let setup_times: Vec<f64>;
-    let walls: Vec<f64>;
-    let mut mips = Vec::new();
-    let mut peak_rss = None;
+    // The calls' reference runs on as many threads as they can keep
+    // busy; engine construction, which takes under a microsecond, has
+    // its own.
+    let mut clock = Clock::new(Reference::mixed(match opts.workload {
+        Workload::Kernel => 1,
+        _ => workers,
+    }));
+    let setups: Vec<Sample>;
+    // One untimed warm-up call comes first: the first call of a process
+    // pays for lazy set-up that later ones do not.
+    let warm: Sample;
+    // Timed calls and their simulated instructions, one group per
+    // input: `table6` cycles through its three seeds.
+    let mut calls: Vec<Vec<(Sample, u64)>>;
     let mut tables: Vec<Option<Table6>> = vec![None; t6.len()];
     let digest;
     match opts.workload {
         Workload::Table6 => {
-            setup_times = (0..budgets.setup_repeats)
-                .map(|_| timed(|| ExperimentEngine::from_settings(&t6[0])).1)
-                .collect();
+            setups = time_setups(
+                &mut Clock::new(Reference::micro()),
+                budgets.setup_repeats,
+                budgets.engine_setups_per_sample,
+                || ExperimentEngine::from_settings(&t6[0]),
+            );
+            warm = table6_call(&t6[0], &mut clock, report, &mut tables[0]).0;
+            calls = vec![Vec::new(); t6.len()];
             let mut call = 0;
-            walls = closed_loop(opts.seconds, budgets.min_calls, || {
+            closed_loop(opts.seconds, budgets.min_calls.max(t6.len()), || {
                 let i = call % t6.len();
                 call += 1;
-                let (wall, m) = table6_call(&t6[i], report, &mut tables[i]);
-                peak_rss.get_or_insert_with(derive::peak_rss_mb);
-                mips.push(m);
-                wall
+                calls[i].push(table6_call(&t6[i], &mut clock, report, &mut tables[i]));
             });
             digest = digest_table(tables[0].as_ref().expect("at least one call"));
         }
         Workload::Sweep => {
             let settings = sweep_settings(opts.seed, budgets, workers);
             let plan = sweep_plan();
-            let insts = (plan.jobs.len() as u64 * settings.instructions) as f64;
-            setup_times = (0..budgets.setup_repeats)
-                .map(|_| timed(|| ExperimentEngine::from_settings(&settings)).1)
-                .collect();
+            let insts = plan.jobs.len() as u64 * settings.instructions;
+            setups = time_setups(
+                &mut Clock::new(Reference::micro()),
+                budgets.setup_repeats,
+                budgets.engine_setups_per_sample,
+                || ExperimentEngine::from_settings(&settings),
+            );
             let mut reference = None;
-            walls = closed_loop(opts.seconds, budgets.min_calls, || {
-                let (wall, _) = sweep_call(&settings, &plan, &off, report, &mut reference);
-                peak_rss.get_or_insert_with(derive::peak_rss_mb);
-                mips.push(insts / (wall * 1e6));
-                wall
-            });
+            let mut call = || {
+                clock
+                    .time(|| sweep_call(&settings, &plan, &off, report, &mut reference))
+                    .1
+            };
+            warm = call();
+            let samples = closed_loop(opts.seconds, budgets.min_calls, || (call(), insts));
+            calls = vec![samples];
             digest = reference.expect("at least one call");
         }
         Workload::Kernel => {
             let budget = budgets.kernel_instructions;
             // Each set-up starts from nothing: the previous one is
             // dropped first, so its traces are not merely re-leased.
-            let mut times = Vec::new();
+            let mut samples = Vec::new();
             let mut kept = None;
             for _ in 0..budgets.setup_repeats {
                 drop(kept.take());
-                let (setup, secs) = timed(|| kernel_setup(opts.seed, budget));
-                times.push(secs);
+                let (setup, sample) = clock.time(|| kernel_setup(opts.seed, budget));
+                samples.push(sample);
                 kept = Some(setup);
             }
-            setup_times = times;
+            setups = samples;
             let (runner, _pins) = kept.expect("at least one set-up");
-            let insts = (KERNEL_BENCHES.len() * kernel_configs().len()) as f64 * budget as f64;
+            let insts = (KERNEL_BENCHES.len() * kernel_configs().len()) as u64 * budget;
             let mut reference = Vec::new();
-            walls = closed_loop(opts.seconds, budgets.min_calls, || {
-                let wall = kernel_round(&runner, &off, report, &mut reference);
-                peak_rss.get_or_insert_with(derive::peak_rss_mb);
-                mips.push(insts / (wall * 1e6));
-                wall
-            });
+            let mut call = || {
+                clock
+                    .time(|| kernel_round(&runner, &off, report, &mut reference))
+                    .1
+            };
+            warm = call();
+            let samples = closed_loop(opts.seconds, budgets.min_calls, || (call(), insts));
+            calls = vec![samples];
             digest = digest_results(&reference);
         }
     }
@@ -801,15 +847,33 @@ fn untraced(opts: &Options, budgets: &Budgets, workers: usize, report: &mut Repo
     let mean = |f: fn(&Table6) -> f64| tables.iter().map(f).sum::<f64>() / tables.len() as f64;
     report.set("oracle_miss_pp", mean(derive::oracle_miss_pp));
     report.set("mcd_edge_pp", mean(derive::mcd_edge_pp));
-    report.set("peak_rss_mb", peak_rss.expect("at least one call"));
-    report.set("wall_s", derive::median(&walls));
-    report.set("setup_s", derive::median(&setup_times));
-    report.set("sim_mips", derive::median(&mips));
+
+    let per_call = |f: &dyn Fn(&(Sample, u64)) -> f64| -> Vec<Vec<f64>> {
+        calls.iter().map(|g| g.iter().map(f).collect()).collect()
+    };
+    let norm = per_call(&|(s, _)| s.norm);
+    let raw = per_call(&|(s, _)| s.raw);
+    let mips = per_call(&|(s, insts)| *insts as f64 / (s.norm * 1e6));
+    let setup_norm: Vec<f64> = setups.iter().map(|s| s.norm).collect();
+    let setup_raw: Vec<f64> = setups.iter().map(|s| s.raw).collect();
+    report.set("wall_s", derive::mean_of_medians(&norm));
+    report.set("setup_s", derive::median(&setup_norm));
+    report.set("sim_mips", derive::mean_of_medians(&mips));
+    // With two engine workers the peak depends on how their runs
+    // overlap, so it is a median over every call, the warm-up too.
+    let peaks: Vec<f64> = std::iter::once(warm.peak_mb)
+        .chain(calls.iter().flatten().map(|(s, _)| s.peak_mb))
+        .collect();
+    report.set("peak_rss_mb", derive::median(&peaks));
     report.info("digest", digest);
     let table_digests: Vec<String> = tables.iter().map(digest_table).collect();
     report.info("table6_digests", format!("[{}]", table_digests.join(", ")));
-    record_walls(report, "wall_s_samples", &walls);
-    record_walls(report, "setup_s_samples", &setup_times);
+    report.info("host_wall_s", derive::mean_of_medians(&raw));
+    report.info("host_setup_s", derive::median(&setup_raw));
+    record_walls(report, "wall_s_samples", &norm.concat());
+    record_walls(report, "host_wall_s_samples", &raw.concat());
+    record_walls(report, "setup_s_samples", &setup_norm);
+    record_walls(report, "peak_rss_mb_samples", &peaks);
 }
 
 fn traced(opts: &Options, budgets: &Budgets, workers: usize, report: &mut Report) {
@@ -832,7 +896,9 @@ fn traced(opts: &Options, budgets: &Budgets, workers: usize, report: &mut Report
         Workload::Table6 => {
             let mut table = None;
             untraced_walls = closed_loop(half, budgets.min_calls, || {
-                table6_call(&t6, report, &mut table).0
+                table6_call(&t6, &mut Clock::raw(), report, &mut table)
+                    .0
+                    .raw
             });
             let table = table.expect("at least one call");
             traced_walls = closed_loop(half, budgets.min_calls, || {

@@ -59,6 +59,7 @@ fn main() -> ExitCode {
         }
     };
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    perfbench::derive::tune_allocator(workers);
     let mut report = run(&opts, &Budgets::standard(), workers);
 
     if opts.trace {

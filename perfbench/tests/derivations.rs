@@ -2,6 +2,7 @@
 //! smoke run of every workload.
 
 use mcd_core::experiments::table6::{Table6, Table6Row};
+use perfbench::calib::{Clock, Reference, Sample};
 use perfbench::spans::{covered_ns, self_ns, self_ns_by_layer, Span, Tracer};
 use perfbench::{derive, run, Budgets, Options, Report, Workload, END_TO_END, PER_LAYER};
 
@@ -74,6 +75,46 @@ fn median_of_odd_and_even_counts() {
     assert_eq!(derive::median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
 }
 
+#[test]
+fn mean_of_medians_weighs_each_group_once() {
+    let groups = vec![vec![1.0, 9.0, 2.0], vec![4.0]];
+    assert_eq!(derive::mean_of_medians(&groups), 3.0);
+}
+
+#[test]
+fn normalized_time_scales_by_the_reference() {
+    // A call twice as long as the reference work reads as twice the
+    // reference seconds, whatever the host's speed.
+    for reference in [Reference::mixed(2), Reference::micro()] {
+        let at = |host_speed: f64| reference.normalize(2.0 / host_speed, 1.0 / host_speed);
+        assert!((at(1.0) - 2.0 * reference.nominal_s).abs() < 1e-12);
+        assert!((at(0.6) - at(1.0)).abs() < 1e-12);
+    }
+}
+
+#[test]
+fn a_sample_of_a_batch_divides_its_times_by_the_batch() {
+    let batch = Sample {
+        raw: 3.0,
+        norm: 2.0,
+        peak_mb: 30.0,
+    };
+    let one = batch.per(4);
+    assert_eq!((one.raw, one.norm, one.peak_mb), (0.75, 0.5, 30.0));
+}
+
+#[test]
+fn a_raw_clock_reports_host_time_and_a_reference_clock_scales_it() {
+    let busy = || std::hint::black_box((0..200_000u64).map(|i| i * i).sum::<u64>());
+    let (_, raw) = Clock::raw().time(busy);
+    assert_eq!(raw.raw, raw.norm);
+    assert!(raw.peak_mb > 0.0);
+    for reference in [Reference::mixed(2), Reference::micro()] {
+        let (_, scaled) = Clock::new(reference).time(busy);
+        assert!(scaled.norm > 0.0 && scaled.norm.is_finite());
+    }
+}
+
 fn row(algorithm: &str, perf_degradation: f64, energy_savings: f64) -> Table6Row {
     Table6Row {
         algorithm: algorithm.to_string(),
@@ -127,6 +168,7 @@ fn tiny() -> Budgets {
         sweep_instructions: 5_000,
         kernel_instructions: 5_000,
         setup_repeats: 1,
+        engine_setups_per_sample: 10,
         min_calls: 1,
     }
 }
