@@ -329,10 +329,10 @@ impl FrequencyController for OfflineController {
     }
 
     fn load_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
-        let n = r.usize()?;
+        let n = r.count("offline schedule length")?;
         let mut schedule = Vec::with_capacity(n);
         for _ in 0..n {
-            let m = r.usize()?;
+            let m = r.count("offline schedule interval length")?;
             let mut interval = Vec::with_capacity(m);
             for _ in 0..m {
                 let idx = r.u8()?;
@@ -557,5 +557,32 @@ mod tests {
     fn negative_target_panics() {
         let table = OperatingPointTable::default();
         let _ = OfflineController::from_profile(OfflineProfile::new(), -0.1, &table);
+    }
+
+    #[test]
+    fn load_state_rejects_forged_lengths() {
+        let table = OperatingPointTable::default();
+        let profile = profile_with(vec![[(20_000, 6_000), (0, 0), (6_000, 4_000)]]);
+        let ctrl = OfflineController::from_profile(profile, 0.05, &table);
+        let mut w = serde::codec::ByteWriter::new();
+        ctrl.save_state(&mut w);
+        let good = w.into_vec();
+        // The schedule length leads the encoding, the first interval's
+        // length follows it.
+        for (at, what) in [
+            (0, "offline schedule length"),
+            (8, "offline schedule interval length"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let mut restored = OfflineController::from_profile(OfflineProfile::new(), 0.05, &table);
+            assert_eq!(
+                restored.load_state(&mut serde::codec::ByteReader::new(&bytes)),
+                Err(serde::codec::CodecError::BadTag {
+                    what,
+                    got: u64::MAX
+                })
+            );
+        }
     }
 }

@@ -242,8 +242,7 @@ impl SnapshotHeader {
 ///
 /// The bytes are a pure function of the run's identity and position —
 /// snapshotting the same run at the same cycle always yields the same
-/// bytes, which is what the bundle verifier's content hashes and the
-/// engine's prefix-fork cache rely on.
+/// bytes, which is what the bundle verifier's content hashes rely on.
 ///
 /// # Panics
 ///
@@ -280,8 +279,7 @@ pub fn restore(bytes: &[u8]) -> CodecResult<PausableRun> {
 }
 
 /// [`restore`], leasing trace-backed streams from `traces` so that many
-/// restores of same-workload snapshots share one materialization (the
-/// engine's prefix-fork path).
+/// restores of same-workload snapshots share one materialization.
 ///
 /// # Errors
 ///
@@ -334,47 +332,6 @@ pub fn restore_with(bytes: &[u8], traces: Option<&TraceCache>) -> CodecResult<Pa
         stream,
         trace_bytes,
     })
-}
-
-/// Restores a warm-up snapshot *for a different configuration*: the
-/// engine's prefix-fork path.  `controller` is the target
-/// configuration's freshly constructed controller; it replaces the one
-/// the snapshot was taken under, and the run is re-labelled as `target`.
-///
-/// This is sound only in the window where the two configurations are
-/// still indistinguishable: controllers influence the machine solely
-/// through their initial domain frequencies (at construction) and
-/// through `interval_update` (at control-interval boundaries), so before
-/// the first boundary two runs with the same base machine, seed, stream
-/// and initial frequencies are in *identical* states — and the target
-/// controller, never having been invoked, is in its freshly constructed
-/// state.  The caller guarantees the base-machine/initial-frequency
-/// match by keying checkpoints on them (see
-/// `BenchmarkRunner::prefix_key`); this function enforces the boundary
-/// half of the contract.
-///
-/// # Errors
-///
-/// Returns a decode error on malformed bytes, or a
-/// [`CodecError::BadTag`] (`"prefix fork past interval zero"`) when the
-/// snapshot was taken after the first interval boundary.
-pub fn fork_prefix(
-    bytes: &[u8],
-    target: &ConfigKind,
-    controller: Box<dyn FrequencyController>,
-    traces: Option<&TraceCache>,
-) -> CodecResult<PausableRun> {
-    let mut run = restore_with(bytes, traces)?;
-    let interval = run.interval_index();
-    if interval != 0 {
-        return Err(CodecError::BadTag {
-            what: "prefix fork past interval zero",
-            got: interval,
-        });
-    }
-    run.cpu.replace_controller(controller);
-    run.config = target.clone();
-    Ok(run)
 }
 
 #[cfg(test)]
@@ -489,72 +446,6 @@ mod tests {
         assert!(matches!(
             restore(&trailing),
             Err(CodecError::TrailingBytes { .. })
-        ));
-    }
-
-    #[test]
-    fn forked_prefix_is_bit_identical_to_a_fresh_run_of_the_target() {
-        // BaselineMcd and Attack/Decay share the warm-up equivalence
-        // class: same base machine, and both start every domain at the
-        // maximum frequency.
-        let runner = BenchmarkRunner::new(12_000, 42)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
-        let target = ConfigKind::AttackDecay(AttackDecayParams::paper_defaults());
-        let whole = runner.run(Benchmark::Gzip, &target);
-
-        let mut warmup = runner.begin(Benchmark::Gzip, &ConfigKind::BaselineMcd);
-        assert!(warmup.step(4_000).is_none());
-        assert_eq!(warmup.interval_index(), 0, "prefix must stay in interval 0");
-        let bytes = snapshot(&warmup);
-        drop(warmup);
-
-        let table = OperatingPointTable::default();
-        let controller = Box::new(AttackDecayController::new(
-            AttackDecayParams::paper_defaults(),
-            &table,
-        ));
-        let mut forked =
-            fork_prefix(&bytes, &target, controller, None).expect("prefix fork succeeds");
-        assert_eq!(forked.config(), &target);
-        let outcome = loop {
-            if let Some(o) = forked.step(4_096) {
-                break o;
-            }
-        };
-        assert_eq!(outcome.config, target);
-        assert_eq!(outcome.result, whole.result);
-    }
-
-    #[test]
-    fn forking_past_the_first_interval_boundary_is_rejected() {
-        let runner = BenchmarkRunner::new(25_000, 7)
-            .with_interval(1_000)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
-        let mut run = runner.begin(Benchmark::Gzip, &ConfigKind::BaselineMcd);
-        assert!(run.step(20_000).is_none());
-        assert!(
-            run.interval_index() > 0,
-            "the warm-up must have crossed an interval boundary"
-        );
-        let bytes = snapshot(&run);
-        let table = OperatingPointTable::default();
-        let controller = Box::new(AttackDecayController::new(
-            AttackDecayParams::paper_defaults(),
-            &table,
-        ));
-        assert!(matches!(
-            fork_prefix(
-                &bytes,
-                &ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
-                controller,
-                None,
-            ),
-            Err(CodecError::BadTag {
-                what: "prefix fork past interval zero",
-                ..
-            })
         ));
     }
 

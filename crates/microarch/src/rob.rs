@@ -195,16 +195,23 @@ impl ReorderBuffer {
     ///
     /// # Errors
     ///
-    /// Returns a decode error on truncation or invalid op codes.
+    /// Returns a decode error on truncation, invalid op codes, or a
+    /// capacity or length out of range.
     pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let capacity = r.usize()?;
-        if capacity == 0 {
+        if capacity == 0 || capacity > u16::MAX as usize {
             return Err(serde::codec::CodecError::BadTag {
                 what: "rob capacity",
-                got: 0,
+                got: capacity as u64,
             });
         }
         let len = r.usize()?;
+        if len > capacity {
+            return Err(serde::codec::CodecError::BadTag {
+                what: "rob length",
+                got: len as u64,
+            });
+        }
         let mut entries = VecDeque::with_capacity(capacity);
         for _ in 0..len {
             let seq = r.u64()?;
@@ -312,5 +319,29 @@ mod tests {
         }
         let seqs: Vec<_> = rob.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 4, 9]);
+    }
+
+    #[test]
+    fn load_rejects_forged_capacity_and_length() {
+        let mut rob = ReorderBuffer::new(8);
+        for s in 0..3 {
+            rob.push(entry(s)).unwrap();
+        }
+        let mut w = ByteWriter::new();
+        rob.save(&mut w);
+        let good = w.into_vec();
+        assert!(ReorderBuffer::load(&mut ByteReader::new(&good)).is_ok());
+        // The capacity leads the encoding, the length follows it.
+        for (at, what) in [(0, "rob capacity"), (8, "rob length")] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                ReorderBuffer::load(&mut ByteReader::new(&bytes)).err(),
+                Some(serde::codec::CodecError::BadTag {
+                    what,
+                    got: u64::MAX
+                })
+            );
+        }
     }
 }

@@ -382,23 +382,23 @@ impl Timeline {
             *word = r.u64()?;
         }
         for bucket in &mut tl.buckets {
-            let n = r.usize()?;
+            let n = r.count("timeline bucket length")?;
             bucket.reserve(n);
             for _ in 0..n {
                 bucket.push(TimelineEvent::load(r)?);
             }
         }
-        let n = r.usize()?;
+        let n = r.count("timeline overflow length")?;
         tl.overflow.reserve(n);
         for _ in 0..n {
             tl.overflow.push(TimelineEvent::load(r)?);
         }
-        let n = r.usize()?;
+        let n = r.count("timeline lane length")?;
         tl.lane.reserve(n);
         for _ in 0..n {
             tl.lane.push_back(TimelineEvent::load(r)?);
         }
-        let n = r.usize()?;
+        let n = r.count("timeline ready length")?;
         tl.ready.seqs.reserve(n);
         for _ in 0..n {
             tl.ready.seqs.push(r.u64()?);
@@ -1051,5 +1051,35 @@ mod tests {
         let due = drain(&mut t, d, 3_000);
         assert_eq!(due.len(), 1);
         assert_eq!((due[0].seq, due[0].kind), (4, EventKind::Wakeup));
+    }
+
+    #[test]
+    fn timeline_load_rejects_forged_lengths() {
+        let t = DomainTimeline::new(G);
+        let mut w = serde::codec::ByteWriter::new();
+        t.save(&mut w);
+        let good = w.into_vec();
+        assert!(DomainTimeline::load(&mut serde::codec::ByteReader::new(&good)).is_ok());
+        // The first domain's lengths follow the five due bounds, the
+        // domain count, three cursors and the occupancy bitmap; with
+        // every list empty each length is one 8-byte word.
+        let first_bucket = 8 * (5 + 1 + 3 + BUCKETS / 64);
+        let overflow = first_bucket + 8 * BUCKETS;
+        for (at, what) in [
+            (first_bucket, "timeline bucket length"),
+            (overflow, "timeline overflow length"),
+            (overflow + 8, "timeline lane length"),
+            (overflow + 16, "timeline ready length"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                DomainTimeline::load(&mut serde::codec::ByteReader::new(&bytes)).err(),
+                Some(serde::codec::CodecError::BadTag {
+                    what,
+                    got: u64::MAX
+                })
+            );
+        }
     }
 }

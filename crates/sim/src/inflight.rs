@@ -539,14 +539,15 @@ impl InFlightTable {
     ///
     /// # Errors
     ///
-    /// Returns a decode error on truncation, invalid op codes or a live
-    /// count that disagrees with the occupied slots.
+    /// Returns a decode error on truncation, invalid op codes, a capacity
+    /// or consumer count out of range, or a live count that disagrees
+    /// with the occupied slots.
     pub(crate) fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let capacity = r.usize()?;
-        if capacity == 0 {
+        if capacity == 0 || capacity > u16::MAX as usize {
             return Err(CodecError::BadTag {
                 what: "in-flight capacity",
-                got: 0,
+                got: capacity as u64,
             });
         }
         let live = r.usize()?;
@@ -595,7 +596,15 @@ impl InFlightTable {
                 None
             };
             let mispredicted = r.bool()?;
+            // Consumers are in-flight instructions, so a list longer
+            // than the slab is forged.
             let n_consumers = r.usize()?;
+            if n_consumers > capacity {
+                return Err(CodecError::BadTag {
+                    what: "in-flight consumer count",
+                    got: n_consumers as u64,
+                });
+            }
             let mut consumers = Vec::with_capacity(n_consumers);
             for _ in 0..n_consumers {
                 consumers.push(r.u64()?);
@@ -839,5 +848,32 @@ mod tests {
         }
         let got: Vec<_> = p.iter().collect();
         assert_eq!(got, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn load_rejects_forged_capacity_and_consumer_count() {
+        let mut t = InFlightTable::new(1);
+        t.insert(entry(0));
+        let mut w = ByteWriter::new();
+        t.save(&mut w);
+        let good = w.into_vec();
+        assert!(InFlightTable::load(&mut ByteReader::new(&good)).is_ok());
+        // The capacity leads the encoding; the single slot's consumer
+        // count (of an empty list) ends it.
+        let tail = good.len() - 8;
+        for (at, what) in [
+            (0, "in-flight capacity"),
+            (tail, "in-flight consumer count"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                InFlightTable::load(&mut ByteReader::new(&bytes)).err(),
+                Some(CodecError::BadTag {
+                    what,
+                    got: u64::MAX
+                })
+            );
+        }
     }
 }
