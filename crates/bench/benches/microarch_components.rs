@@ -168,13 +168,12 @@ fn bench_workload_generation(c: &mut Criterion) {
 /// result accumulator.
 ///
 /// Alongside the timings, one instrumented run per kernel-bench workload
-/// records the event-timeline traffic counters (pushes, pops, overflow
-/// spills, bucket scans, monotone-lane absorptions — see
-/// `mcd_sim::EventTrafficStats`), the derived events-per-commit ratio,
-/// and the dispatch-path counters (`ann_fed` from an annotation-fed
-/// trace replay, `ann_recomputed` from the live run), making the
-/// heap-vs-calendar trade, the lane's structural event-traffic cut and
-/// the annotation coverage measurable per workload per commit.
+/// records the event-timeline traffic counters (pushes, pops, drain
+/// passes — see `mcd_sim::EventTrafficStats`), the derived
+/// events-per-commit ratio, and the dispatch-path counters (`ann_fed`
+/// from an annotation-fed trace replay, `ann_recomputed` from the live
+/// run), making event traffic and annotation coverage measurable per
+/// workload per commit.
 fn export_results(c: &mut Criterion) {
     let results = c.take_results();
     if results.is_empty() {
@@ -223,11 +222,7 @@ fn export_results(c: &mut Criterion) {
         row.insert("workload", name);
         row.insert("timeline_pushes", events.pushes);
         row.insert("timeline_pops", events.pops);
-        row.insert("overflow_spills", events.overflow_spills);
-        row.insert("bucket_scans", events.bucket_scans);
-        row.insert("lane_pushes", events.lane_pushes);
         row.insert("drain_passes", events.drains);
-        row.insert("avg_bucket_scan", events.avg_bucket_scan());
         row.insert("events_per_commit", live.events_per_commit());
         row.insert("ann_fed", traced.host.ann_fed);
         row.insert("ann_recomputed", live.host.ann_recomputed);

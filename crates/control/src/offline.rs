@@ -15,7 +15,7 @@
 //! The full shaker algorithm operates on multi-hundred-million instruction
 //! dependence graphs and is out of scope; this module implements a
 //! profile-driven oracle that preserves those two properties (see
-//! DESIGN.md, "Substitutions"): a profiling run at maximum frequency
+//! docs/ARCHITECTURE.md, "Substitutions"): a profiling run at maximum frequency
 //! records per-interval, per-domain utilization; the oracle then chooses
 //! each interval's frequency from the *actual* upcoming interval profile,
 //! with a slack cushion that shrinks as the degradation target grows.

@@ -203,7 +203,7 @@ pub struct BenchmarkRunner {
     /// Committed instructions per control interval.  The paper uses 10 000;
     /// the experiment harness scales this down together with the simulation
     /// window so that short runs still contain enough control intervals for
-    /// the algorithms to act (see DESIGN.md, "Substitutions").
+    /// the algorithms to act (see docs/ARCHITECTURE.md, "Substitutions").
     pub interval_instructions: u64,
     profiles: SharedProfileCache,
     /// Shared-trace cache; `None` generates streams live

@@ -55,9 +55,14 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MCDSNAP\0";
 /// v3 — each per-domain `Timeline` serializes its monotone lane (the
 /// sorted fast-path queue for in-order event pushes) between the
 /// overflow list and the ready list, and the event-traffic counters
-/// gained `lane_pushes`; v2 bytes place those events in the ring or
+/// gained a lane counter; v2 bytes place those events in the ring or
 /// overflow and lack the counter, so the layouts are incompatible.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// v4 — the calendar queue gave way to one binary heap per domain: a
+/// `Timeline` writes its pending events in ascending order followed by
+/// its ready list, with no granule, cursors, bitmap, ring, overflow or
+/// lane, and the event-traffic counters shrink to pushes, pops and
+/// drains.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// The run identity recorded in a snapshot's header: everything needed
 /// to rebuild the immutable halves of the machine before overlaying the
@@ -374,6 +379,18 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_bytes_survive_a_restore() {
+        // Re-snapshotting a restored run reproduces the bytes exactly:
+        // pending events serialize in sorted order, so the encoding does
+        // not depend on the order they were pushed in.
+        let mut run = canonical_run();
+        assert!(run.step(7_000).is_none(), "run must pause mid-flight");
+        let bytes = snapshot(&run);
+        let restored = restore(&bytes).expect("snapshot restores");
+        assert_eq!(snapshot(&restored), bytes);
+    }
+
+    #[test]
     fn trace_backed_snapshot_restores_through_a_shared_cache() {
         let runner = BenchmarkRunner::new(9_000, 7).with_result_caching(false);
         assert!(runner.trace_cache().is_some(), "sharing on by default");
@@ -462,10 +479,10 @@ mod tests {
         assert!(run.step(5_000).is_none());
         let bytes = snapshot(&run);
 
-        // Header: magic, version 3, gzip (index 23), Attack/Decay tag.
+        // Header: magic, version 4, gzip (index 23), Attack/Decay tag.
         let mut expected_header = Vec::new();
         expected_header.extend_from_slice(&SNAPSHOT_MAGIC);
-        expected_header.extend_from_slice(&3u16.to_le_bytes());
+        expected_header.extend_from_slice(&4u16.to_le_bytes());
         expected_header.push(23);
         expected_header.push(2);
         assert_eq!(
@@ -478,7 +495,7 @@ mod tests {
         h.write_raw(&bytes);
         assert_eq!(
             h.finish(),
-            0x321b_0f1e_b67b_10c5_5a61_d41e_86db_8453,
+            0x010c_df42_f034_9f0d_571f_8ee6_9875_5766,
             "snapshot content hash changed — the encoding of some component \
              drifted; bump SNAPSHOT_VERSION and re-pin this hash"
         );

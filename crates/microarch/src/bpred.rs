@@ -180,18 +180,34 @@ impl BranchPredictor {
     ///
     /// # Errors
     ///
-    /// Returns a decode error on truncation or an over-depth RAS.
+    /// Returns a decode error on truncation, an over-depth RAS, or a table
+    /// size the input cannot hold.
     pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
+        // Every table entry is read back from the input, so each table
+        // size is a count; the RAS depth only sizes a capacity.
         let config = BranchPredictorConfig {
-            l1_entries: r.usize()?,
+            l1_entries: r.count("bpred l1 entries")?,
             history_bits: r.u32()?,
-            l2_entries: r.usize()?,
-            bimodal_entries: r.usize()?,
-            chooser_entries: r.usize()?,
-            btb_sets: r.usize()?,
-            btb_ways: r.usize()?,
+            l2_entries: r.count("bpred l2 entries")?,
+            bimodal_entries: r.count("bpred bimodal entries")?,
+            chooser_entries: r.count("bpred chooser entries")?,
+            btb_sets: r.count("btb sets")?,
+            btb_ways: r.count("btb ways")?,
             ras_depth: r.usize()?,
         };
+        let btb_entries = config.btb_sets.checked_mul(config.btb_ways);
+        if btb_entries.is_none_or(|n| n > r.remaining()) {
+            return Err(serde::codec::CodecError::BadTag {
+                what: "btb entries",
+                got: btb_entries.map_or(u64::MAX, |n| n as u64),
+            });
+        }
+        if config.ras_depth > u16::MAX as usize {
+            return Err(serde::codec::CodecError::BadTag {
+                what: "ras depth",
+                got: config.ras_depth as u64,
+            });
+        }
         let mut p = BranchPredictor::new(config);
         for c in &mut p.bimodal {
             *c = r.u8()?;
@@ -542,6 +558,47 @@ mod tests {
         bp.update(0x1000, OpClass::Return, pred, true, 0x304);
         let pred = bp.predict(0x1010, OpClass::Return);
         assert_eq!(pred.target, Some(0x204));
+    }
+
+    #[test]
+    fn load_rejects_forged_table_sizes() {
+        let mut w = ByteWriter::new();
+        BranchPredictor::default().save(&mut w);
+        let good = w.into_vec();
+        assert!(BranchPredictor::load(&mut ByteReader::new(&good)).is_ok());
+        // The eight sizes lead the encoding; only the history length is a
+        // `u32`.
+        for (at, what) in [
+            (0, "bpred l1 entries"),
+            (12, "bpred l2 entries"),
+            (20, "bpred bimodal entries"),
+            (28, "bpred chooser entries"),
+            (36, "btb sets"),
+            (44, "btb ways"),
+            (52, "ras depth"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                BranchPredictor::load(&mut ByteReader::new(&bytes)).err(),
+                Some(serde::codec::CodecError::BadTag {
+                    what,
+                    got: u64::MAX
+                })
+            );
+        }
+        // Sets and ways that each fit the input but whose product does not.
+        let mut bytes = good.clone();
+        let sets = (good.len() as u64 - 44) / 2;
+        bytes[36..44].copy_from_slice(&sets.to_le_bytes());
+        bytes[44..52].copy_from_slice(&sets.to_le_bytes());
+        assert!(matches!(
+            BranchPredictor::load(&mut ByteReader::new(&bytes)),
+            Err(serde::codec::CodecError::BadTag {
+                what: "btb entries",
+                ..
+            })
+        ));
     }
 
     #[test]

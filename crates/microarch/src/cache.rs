@@ -59,10 +59,11 @@ impl CacheConfig {
         if self.ways == 0 {
             return Err("associativity must be at least 1".to_string());
         }
-        if !self
-            .size_bytes
-            .is_multiple_of(self.line_bytes * self.ways as u64)
-        {
+        let way_bytes = self
+            .line_bytes
+            .checked_mul(self.ways as u64)
+            .ok_or_else(|| "line size times associativity overflows".to_string())?;
+        if !self.size_bytes.is_multiple_of(way_bytes) {
             return Err("capacity must be a multiple of line size times associativity".to_string());
         }
         if self.num_sets() == 0 {
@@ -289,6 +290,14 @@ impl Cache {
                 got: config.size_bytes,
             });
         }
+        // Every line's state is read back from the input, so a geometry
+        // with more lines than unread bytes is forged.
+        if config.size_bytes / config.line_bytes > r.remaining() as u64 {
+            return Err(serde::codec::CodecError::BadTag {
+                what: "cache line count",
+                got: config.size_bytes / config.line_bytes,
+            });
+        }
         let mut c = Cache::new(config);
         for l in &mut c.lines {
             l.valid = r.bool()?;
@@ -458,5 +467,36 @@ mod tests {
         let c = Cache::new(CacheConfig::l1_64k_2way());
         assert_eq!(c.stats().miss_rate(), 0.0);
         assert_eq!(c.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn load_rejects_forged_geometry() {
+        let mut w = ByteWriter::new();
+        Cache::new(CacheConfig::l1_64k_2way()).save(&mut w);
+        let good = w.into_vec();
+        assert!(Cache::load(&mut ByteReader::new(&good)).is_ok());
+        // Size, ways and line size lead the encoding; a forged ways makes
+        // line size times ways overflow.
+        for at in [0, 8, 16] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(matches!(
+                Cache::load(&mut ByteReader::new(&bytes)),
+                Err(serde::codec::CodecError::BadTag {
+                    what: "cache geometry",
+                    ..
+                })
+            ));
+        }
+        // A consistent geometry with more lines than the input holds.
+        let mut bytes = good.clone();
+        bytes[0..8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        assert_eq!(
+            Cache::load(&mut ByteReader::new(&bytes)).err(),
+            Some(serde::codec::CodecError::BadTag {
+                what: "cache line count",
+                got: 1 << 54
+            })
+        );
     }
 }

@@ -195,17 +195,29 @@ impl FuPool {
     ///
     /// # Errors
     ///
-    /// Returns a decode error on truncation or invalid unit-kind codes.
+    /// Returns a decode error on truncation, invalid unit-kind codes, or
+    /// a unit count the input cannot hold.
     pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
-        let n_kinds = r.usize()?;
+        let n_kinds = r.count("functional-unit kind count")?;
         let mut units = Vec::with_capacity(n_kinds);
+        // Every unit's busy time follows the kinds in the input, so the
+        // units of all kinds together cannot outnumber the unread bytes.
+        let mut total_units = 0usize;
         for _ in 0..n_kinds {
             let code = r.u8()?;
             let kind = FuKind::from_code(code).ok_or(serde::codec::CodecError::BadTag {
                 what: "functional-unit kind",
                 got: u64::from(code),
             })?;
-            units.push((kind, r.usize()?));
+            let count = r.usize()?;
+            total_units = total_units.saturating_add(count);
+            if total_units > r.remaining() {
+                return Err(serde::codec::CodecError::BadTag {
+                    what: "functional-unit count",
+                    got: count as u64,
+                });
+            }
+            units.push((kind, count));
         }
         let mut pool = FuPool::new(FuPoolConfig { units });
         for (_, slots) in &mut pool.busy_until {
@@ -305,5 +317,29 @@ mod tests {
         assert!(pool.try_issue(FuKind::MemPort, 0, 3000));
         assert_eq!(pool.free_units(FuKind::MemPort, 1000), 1);
         assert_eq!(pool.free_units(FuKind::MemPort, 3000), 2);
+    }
+
+    #[test]
+    fn load_rejects_forged_kind_and_unit_counts() {
+        let mut w = ByteWriter::new();
+        FuPool::new(FuPoolConfig::integer_domain()).save(&mut w);
+        let good = w.into_vec();
+        assert!(FuPool::load(&mut ByteReader::new(&good)).is_ok());
+        // The kind count leads the encoding; the first kind's unit count
+        // follows its one-byte kind code.
+        for (at, what) in [
+            (0, "functional-unit kind count"),
+            (9, "functional-unit count"),
+        ] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                FuPool::load(&mut ByteReader::new(&bytes)).err(),
+                Some(serde::codec::CodecError::BadTag {
+                    what,
+                    got: u64::MAX
+                })
+            );
+        }
     }
 }

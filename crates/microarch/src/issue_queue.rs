@@ -153,14 +153,14 @@ impl IssueQueue {
     ///
     /// # Errors
     ///
-    /// Returns a decode error on truncation or an over-capacity entry
-    /// count.
+    /// Returns a decode error on truncation, a capacity out of range, or
+    /// an over-capacity entry count.
     pub fn load(r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let capacity = r.usize()?;
-        if capacity == 0 {
+        if capacity == 0 || capacity > u16::MAX as usize {
             return Err(serde::codec::CodecError::BadTag {
                 what: "issue queue capacity",
-                got: 0,
+                got: capacity as u64,
             });
         }
         let len = r.usize()?;
@@ -237,6 +237,28 @@ mod tests {
         }
         let avg = q.take_average_occupancy();
         assert!(avg <= 4.0);
+    }
+
+    #[test]
+    fn load_rejects_forged_capacity_and_length() {
+        let mut q = IssueQueue::new(8);
+        q.insert(3).unwrap();
+        let mut w = ByteWriter::new();
+        q.save(&mut w);
+        let good = w.into_vec();
+        assert!(IssueQueue::load(&mut ByteReader::new(&good)).is_ok());
+        // The capacity leads the encoding, the length follows it.
+        for (at, what) in [(0, "issue queue capacity"), (8, "issue queue length")] {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                IssueQueue::load(&mut ByteReader::new(&bytes)).err(),
+                Some(serde::codec::CodecError::BadTag {
+                    what,
+                    got: u64::MAX
+                })
+            );
+        }
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl McdProcessor {
     #[inline]
     pub(crate) fn drain_events(&mut self, domain: DomainId, now: TimePs) {
         // The overwhelmingly common cycle has nothing due: settle it with
-        // the timeline's one-comparison fast path before any loop setup.
+        // one heap peek before any loop setup.
         if !self.timeline.has_due(domain, now) {
             return;
         }

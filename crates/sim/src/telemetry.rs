@@ -106,45 +106,20 @@ impl IntervalRecord {
 }
 
 /// Event-queue traffic of one run: how hard the kernel's per-domain
-/// calendar timelines (`sim/src/events.rs`) worked.
+/// event heaps (`sim/src/events.rs`) worked.
 ///
-/// These counters quantify the heap-vs-calendar trade per workload — the
-/// push/pop volume the queues carry, how many pushes missed the bucket
-/// ring and spilled to the sorted overflow list, and how many buckets the
-/// drains scanned — so a queue pathology (e.g. a workload whose events
-/// constantly overflow the ring horizon) is visible in the
-/// `BENCH_kernel_micro.json` artefact instead of silently degrading
-/// throughput.  Host-side telemetry only: like the rest of [`HostStats`],
-/// excluded from [`SimResult`] equality.
+/// These counters record the push/pop volume the queues carry per
+/// workload, so a change in event traffic is visible in the
+/// `BENCH_kernel_micro.json` artefact.  Host-side telemetry only: like
+/// the rest of [`HostStats`], excluded from [`SimResult`] equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventTrafficStats {
     /// Events scheduled (completions + wakeups, all domains).
     pub pushes: u64,
     /// Events delivered by timeline drains.
     pub pops: u64,
-    /// Pushes that landed beyond the bucket ring's horizon and went to the
-    /// sorted overflow list (includes re-files during granule changes).
-    pub overflow_spills: u64,
-    /// Ring buckets examined across all drains (the calendar's scan cost).
-    pub bucket_scans: u64,
-    /// Timeline drain passes (one or more per domain cycle).
+    /// Drain passes that found at least one due event.
     pub drains: u64,
-    /// Pushes absorbed by the monotone lane — the per-domain sorted fast
-    /// path that accepts an event in O(1) when it is not earlier than the
-    /// lane's tail, bypassing the bucket ring entirely (and granule
-    /// re-files, since the lane needs no bucket math).
-    pub lane_pushes: u64,
-}
-
-impl EventTrafficStats {
-    /// Average number of ring buckets examined per drain pass.
-    pub fn avg_bucket_scan(&self) -> f64 {
-        if self.drains == 0 {
-            0.0
-        } else {
-            self.bucket_scans as f64 / self.drains as f64
-        }
-    }
 }
 
 /// Host-side (simulator, not simulated) throughput of one run.

@@ -1,13 +1,15 @@
 //! Property-based tests over the core data structures and invariants of the
 //! reproduction, spanning several crates.
 
+use std::sync::{Arc, OnceLock};
+
 use proptest::prelude::*;
 
 use mcd::clock::{DomainId, OperatingPointTable, SyncWindow};
 use mcd::control::{
     AttackDecayController, AttackDecayParams, DomainSample, FrequencyController, IntervalSample,
 };
-use mcd::core::{restore_with, snapshot, BenchmarkRunner, ConfigKind};
+use mcd::core::{restore_with, snapshot, BenchmarkRunner, ConfigKind, TraceCache};
 use mcd::isa::{InstructionStream, MemInfo, Reg};
 use mcd::microarch::{
     Cache, CacheConfig, IssueQueue, LoadStoreQueue, LsqIssue, ReorderBuffer, RobEntry,
@@ -20,6 +22,7 @@ use mcd::workloads::{
     Benchmark, BranchBehavior, InstructionMix, MemoryBehavior, Phase, SharedTrace,
     WorkloadGenerator, WorkloadSpec,
 };
+use serde::codec::{ByteReader, ByteWriter};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -333,49 +336,43 @@ proptest! {
         }
     }
 
-    /// The per-domain calendar-queue timeline must drain *exactly* the
-    /// events a reference binary min-heap would pop, in the same
-    /// `(time, seq, kind)` order, on arbitrary event streams: random times
-    /// (including far-future events beyond the ring horizon, which take
-    /// the sorted-overflow path), random sequence numbers and kinds
-    /// (exercising the completion-before-wakeup tie-break), pushes
-    /// interleaved with drains at random time steps, and mid-stream bucket
-    /// granule changes (as the controller retargets a domain's period),
-    /// which force a full re-index.
+    /// The per-domain event timeline must drain *exactly* the due events
+    /// of a plain reference list, in `(time, seq, kind)` order, on
+    /// arbitrary event streams: random times, random sequence numbers and
+    /// kinds (exercising the completion-before-wakeup tie-break), pushes
+    /// interleaved with drains at random time steps, and mid-stream
+    /// `save` → `load` round trips (a checkpoint restore must leave the
+    /// pending events and their drain order untouched).
     #[test]
     fn timeline_drains_match_a_reference_heap(
         ops in proptest::collection::vec(
-            (0u8..8, 0u64..600_000, 0u64..64, 0u8..2, 1u64..5_000),
+            (0u8..8, 0u64..600_000, 0u64..64, 0u8..2),
             1..200,
         ),
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
         let domain = DomainId::Integer;
-        let granule = 1_000;
-        let mut timeline = DomainTimeline::new([granule; 5]);
-        let mut reference: BinaryHeap<Reverse<TimelineEvent>> = BinaryHeap::new();
+        let mut timeline = DomainTimeline::new();
+        // The reference: every pending event, unordered.  A drain removes
+        // the due ones and sorts them.
+        let mut reference: Vec<TimelineEvent> = Vec::new();
         let mut now = 0u64;
         let mut out = Vec::new();
         let drain_and_compare = |timeline: &mut DomainTimeline,
-                                     reference: &mut BinaryHeap<Reverse<TimelineEvent>>,
+                                     reference: &mut Vec<TimelineEvent>,
                                      now: u64,
                                      out: &mut Vec<TimelineEvent>|
          -> Result<(), TestCaseError> {
             timeline.collect_due(domain, now, out);
-            let mut expected = Vec::new();
-            while reference.peek().is_some_and(|Reverse(ev)| ev.time <= now) {
-                expected.push(reference.pop().expect("peeked").0);
-            }
+            let mut expected: Vec<TimelineEvent> =
+                reference.iter().copied().filter(|ev| ev.time <= now).collect();
+            reference.retain(|ev| ev.time > now);
+            expected.sort_unstable();
             prop_assert_eq!(&expected[..], &out[..]);
             Ok(())
         };
-        for (op, delta, seq, kind_sel, new_granule) in ops {
+        for (op, delta, seq, kind_sel) in ops {
             match op {
-                // Push (biased: most ops schedule near-future events; the
-                // range reaches past the 128-bucket ring horizon so some
-                // take the overflow path).
+                // Push (biased: most ops schedule near-future events).
                 0..=4 => {
                     let time = now + delta;
                     let kind = if kind_sel == 0 {
@@ -385,17 +382,23 @@ proptest! {
                         timeline.push_wakeup(domain, time, seq);
                         EventKind::Wakeup
                     };
-                    reference.push(Reverse(TimelineEvent { time, seq, kind }));
+                    reference.push(TimelineEvent { time, seq, kind });
                 }
-                // Advance time and drain; both structures must yield the
-                // same events in the same order.
+                // Advance time and drain; both must yield the same events
+                // in the same order.
                 5 | 6 => {
                     now += delta % 20_000;
                     drain_and_compare(&mut timeline, &mut reference, now, &mut out)?;
                 }
-                // Mid-stream period change: re-quantizes every pending
-                // bucket (the drain order must be unaffected).
-                _ => timeline.set_granule(domain, new_granule),
+                // Mid-stream checkpoint: continue from the restored copy.
+                _ => {
+                    let mut w = ByteWriter::new();
+                    timeline.save(&mut w);
+                    let bytes = w.into_vec();
+                    let mut r = ByteReader::new(&bytes);
+                    timeline = DomainTimeline::load(&mut r).expect("round trip");
+                    prop_assert!(r.finish().is_ok());
+                }
             }
         }
         // Final drain far past every scheduled event: nothing may be lost.
@@ -679,6 +682,68 @@ proptest! {
             share_traces
         );
         prop_assert_eq!(outcome.result.committed_instructions, insts);
+    }
+}
+
+/// One canonical paused snapshot per stream kind — live generator and
+/// shared-trace cursor — plus the trace cache the trace-backed one
+/// restores through.  Built once and shared by every mutation case.
+fn canonical_snapshots() -> &'static (Vec<u8>, Vec<u8>, Arc<TraceCache>) {
+    static SNAPSHOTS: OnceLock<(Vec<u8>, Vec<u8>, Arc<TraceCache>)> = OnceLock::new();
+    SNAPSHOTS.get_or_init(|| {
+        let kind = ConfigKind::AttackDecay(AttackDecayParams::paper_defaults());
+        let paused = |runner: &BenchmarkRunner| {
+            let mut run = runner.begin(Benchmark::Gzip, &kind);
+            assert!(run.step(5_000).is_none(), "run must pause mid-flight");
+            snapshot(&run)
+        };
+        let live = BenchmarkRunner::new(20_000, 42)
+            .with_trace_sharing(false)
+            .with_result_caching(false);
+        let traced = BenchmarkRunner::new(20_000, 42).with_result_caching(false);
+        let cache = Arc::clone(traced.trace_cache().expect("sharing on by default"));
+        (paused(&live), paused(&traced), cache)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Hostile-bytes contract of the snapshot decoder: a single random
+    /// corruption of a valid snapshot — a bit flip, a random byte, or an
+    /// 8-byte overwrite with `u64::MAX` or a random word — must make
+    /// `restore` return `Ok` or a typed `CodecError`, never panic.
+    /// Every case corrupts both the live and the trace-backed snapshot.
+    #[test]
+    fn restore_never_panics_on_mutated_snapshots(
+        op in 0u8..4,
+        pos in 0u64..u64::MAX,
+        word in 0u64..u64::MAX,
+        bit in 0u32..8,
+    ) {
+        let (live, traced, cache) = canonical_snapshots();
+        for (name, good) in [("live", live), ("trace-backed", traced)] {
+            let mut bytes = good.clone();
+            let at = (pos % (bytes.len() as u64 - 7)) as usize;
+            match op {
+                0 => bytes[at] ^= 1 << bit,
+                1 => bytes[at] = word as u8,
+                2 => bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes()),
+                _ => bytes[at..at + 8].copy_from_slice(&word.to_le_bytes()),
+            }
+            let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                restore_with(&bytes, Some(cache)).map(|_| ())
+            }));
+            prop_assert!(
+                restored.is_ok(),
+                "restore of the {} snapshot panicked: op {} at byte {} (word {:#x}, bit {})",
+                name,
+                op,
+                at,
+                word,
+                bit
+            );
+        }
     }
 }
 
