@@ -1,12 +1,13 @@
 //! Micro-benchmarks of the simulator substrates: branch prediction, cache
-//! lookups, issue-queue management, the Attack/Decay control step and
-//! workload generation.  These quantify where the simulator spends its time
-//! and act as performance-regression guards for the building blocks.
+//! lookups, issue-queue management, the Attack/Decay control step, clock
+//! edges and workload generation.  These quantify where the simulator
+//! spends its time and act as performance-regression guards for the
+//! building blocks.
 // The criterion_group! expansion is undocumented generated code.
 #![allow(missing_docs)]
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mcd_clock::{DomainId, OperatingPointTable, SyncWindow};
+use mcd_clock::{DomainClock, DomainId, OperatingPointTable, SyncWindow};
 use mcd_control::{
     AttackDecayController, AttackDecayParams, DomainSample, FrequencyController, IntervalSample,
 };
@@ -147,6 +148,27 @@ fn bench_sync_window(c: &mut Criterion) {
     });
 }
 
+/// Per-edge clock cost: 64k `DomainClock::advance` calls at 1 GHz, with
+/// the paper's 110 ps jitter and with jitter disabled (the fully
+/// synchronous clock), so the jitter layer's share of an edge is tracked
+/// beside the processor benches.
+fn bench_clock_advance(c: &mut Criterion) {
+    for (name, sigma_ps) in [
+        ("clock_advance_jittered_64k", 110.0),
+        ("clock_advance_sync_64k", 0.0),
+    ] {
+        c.bench_function(name, |b| {
+            let mut clk = DomainClock::new(DomainId::Integer, 1000.0, 49.1, sigma_ps, 42);
+            b.iter(|| {
+                for _ in 0..65_536 {
+                    black_box(clk.advance());
+                }
+                clk.next_edge_ps()
+            })
+        });
+    }
+}
+
 fn bench_workload_generation(c: &mut Criterion) {
     c.bench_function("workload_generate_10k_insts", |b| {
         let spec = Benchmark::Epic.spec();
@@ -241,6 +263,7 @@ criterion_group!(
     bench_issue_queue,
     bench_attack_decay_step,
     bench_sync_window,
+    bench_clock_advance,
     bench_workload_generation,
     export_results
 );

@@ -338,10 +338,11 @@ pub fn write_bundle(spec: &BundleSpec, dir: &Path) -> Result<BundleReport, Bundl
 /// Returns the first failed check, see [`BundleError`].
 pub fn replay_verify(dir: &Path) -> Result<BundleReport, BundleError> {
     let manifest_path = dir.join(MANIFEST_NAME);
-    let manifest =
-        fs::read_to_string(&manifest_path).map_err(|_| BundleError::MissingArtifact {
-            name: MANIFEST_NAME.into(),
-        })?;
+    let manifest = fs::read(&manifest_path).map_err(|_| BundleError::MissingArtifact {
+        name: MANIFEST_NAME.into(),
+    })?;
+    let manifest = String::from_utf8(manifest)
+        .map_err(|_| BundleError::Manifest(format!("{MANIFEST_NAME} is not UTF-8")))?;
     let mut lines = manifest.lines();
     if lines.next() != Some(MANIFEST_MAGIC) {
         return Err(BundleError::Manifest(format!(
@@ -409,15 +410,18 @@ pub fn replay_verify(dir: &Path) -> Result<BundleReport, BundleError> {
 
     let mut verified = 0;
     for (name, bytes) in artifacts.iter().filter(|(n, _)| n.starts_with("snapshot_")) {
-        let mut run = restore(bytes).map_err(|error| BundleError::SnapshotCorrupt {
+        let corrupt = |error| BundleError::SnapshotCorrupt {
             name: name.clone(),
             error,
-        })?;
-        if run.benchmark() != identity.benchmark || run.config() != &identity.config {
+        };
+        // The whole header must match, so a snapshot cannot smuggle in
+        // another budget or seed (an unbounded budget would never finish).
+        if SnapshotHeader::peek(bytes).map_err(corrupt)? != identity {
             return Err(BundleError::Manifest(format!(
                 "{name} does not belong to this bundle's identity"
             )));
         }
+        let mut run = restore(bytes).map_err(corrupt)?;
         let outcome = loop {
             if let Some(o) = run.step(u64::MAX) {
                 break o;
@@ -517,31 +521,57 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn a_tampered_result_digest_is_a_replay_mismatch() {
-        let dir = temp_bundle_dir("replay");
-        write_bundle(&small_spec(), &dir).expect("bundle writes");
-        // Rewrite result.bin with a wrong digest *and* re-hash it in the
-        // manifest, so only the replay contract itself can catch it.
-        let result_path = dir.join(RESULT_NAME);
-        let mut w = ByteWriter::new();
-        w.put_u128(0xdead_beef);
-        w.put_u64(12_000);
-        let forged = w.into_vec();
-        fs::write(&result_path, &forged).unwrap();
+    /// Rewrites `name` in the bundle at `dir` and re-hashes it in the
+    /// manifest, so only checks past the hash can catch the change.
+    fn reseal(dir: &Path, name: &str, bytes: &[u8]) {
+        fs::write(dir.join(name), bytes).unwrap();
         let manifest_path = dir.join(MANIFEST_NAME);
         let manifest = fs::read_to_string(&manifest_path).unwrap();
         let fixed: String = manifest
             .lines()
             .map(|line| {
-                if line.starts_with(&format!("artifact {RESULT_NAME}")) {
-                    format!("artifact {RESULT_NAME} {:032x}\n", content_hash(&forged))
+                if line.starts_with(&format!("artifact {name} ")) {
+                    format!("artifact {name} {:032x}\n", content_hash(bytes))
                 } else {
                     format!("{line}\n")
                 }
             })
             .collect();
         fs::write(&manifest_path, fixed).unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_with_a_foreign_budget_is_rejected_before_replay() {
+        let dir = temp_bundle_dir("budget");
+        write_bundle(&small_spec(), &dir).expect("bundle writes");
+        let name = "snapshot_00.bin";
+        let bytes = fs::read(dir.join(name)).unwrap();
+        let mut header = SnapshotHeader::peek(&bytes).unwrap();
+        let header_len = {
+            let mut w = ByteWriter::new();
+            header.save(&mut w);
+            w.into_vec().len()
+        };
+        header.instructions = u64::MAX;
+        let mut w = ByteWriter::new();
+        header.save(&mut w);
+        let mut forged = w.into_vec();
+        forged.extend_from_slice(&bytes[header_len..]);
+        reseal(&dir, name, &forged);
+        assert!(matches!(replay_verify(&dir), Err(BundleError::Manifest(_))));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tampered_result_digest_is_a_replay_mismatch() {
+        let dir = temp_bundle_dir("replay");
+        write_bundle(&small_spec(), &dir).expect("bundle writes");
+        // Rewrite result.bin with a wrong digest *and* re-hash it in the
+        // manifest, so only the replay contract itself can catch it.
+        let mut w = ByteWriter::new();
+        w.put_u128(0xdead_beef);
+        w.put_u64(12_000);
+        reseal(&dir, RESULT_NAME, &w.into_vec());
         assert!(matches!(
             replay_verify(&dir),
             Err(BundleError::ReplayMismatch { name }) if name == "snapshot_00.bin"

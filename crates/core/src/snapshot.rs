@@ -33,6 +33,7 @@ use mcd_control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
     GlobalScalingController, OfflineController, OfflineProfile,
 };
+use mcd_isa::DynInst;
 use mcd_sim::{McdProcessor, SimConfig};
 use mcd_workloads::{Benchmark, SharedTrace, WorkloadGenerator};
 use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
@@ -286,6 +287,11 @@ pub fn restore(bytes: &[u8]) -> CodecResult<PausableRun> {
 /// [`restore`], leasing trace-backed streams from `traces` so that many
 /// restores of same-workload snapshots share one materialization.
 ///
+/// A trace-backed stream is sized by the header's instruction budget, so
+/// the rest of the snapshot is decoded and the budget checked against the
+/// recorded trace position and `trace_bytes` before anything is
+/// materialized: a forged budget is an error, not an allocation.
+///
 /// # Errors
 ///
 /// Returns a decode error on truncation, bad magic, a version mismatch
@@ -294,15 +300,46 @@ pub fn restore_with(bytes: &[u8], traces: Option<&TraceCache>) -> CodecResult<Pa
     let mut r = ByteReader::new(bytes);
     let header = SnapshotHeader::load(&mut r)?;
     let spec = header.benchmark.spec();
-    let stream = match r.u8()? {
-        0 => RunStream::Live(WorkloadGenerator::load(
+    let live = match r.u8()? {
+        0 => Some(WorkloadGenerator::load(
             &mut r,
             &spec,
             header.seed,
             header.instructions,
         )?),
-        1 => {
-            let pos = r.u64()?;
+        1 => None,
+        got => {
+            return Err(CodecError::BadTag {
+                what: "snapshot stream kind",
+                got: u64::from(got),
+            })
+        }
+    };
+    let trace_pos = match live {
+        Some(_) => 0,
+        None => r.u64()?,
+    };
+    let trace_bytes = r.u64()?;
+    let cpu = McdProcessor::load(&mut r, header.sim_config(), header.controller_skeleton())?;
+    r.finish()?;
+    let stream = match live {
+        Some(generator) => RunStream::Live(generator),
+        None => {
+            if trace_pos > header.instructions {
+                return Err(CodecError::BadTag {
+                    what: "snapshot trace position",
+                    got: trace_pos,
+                });
+            }
+            let min_bytes = header
+                .instructions
+                .checked_mul(std::mem::size_of::<DynInst>() as u64);
+            if min_bytes.is_none_or(|min| trace_bytes < min) {
+                return Err(CodecError::BadTag {
+                    what: "snapshot trace bytes",
+                    got: trace_bytes,
+                });
+            }
             let trace = match traces {
                 Some(cache) => cache.lease(&spec, header.seed, header.instructions),
                 None => Arc::new(SharedTrace::materialize(
@@ -312,24 +349,13 @@ pub fn restore_with(bytes: &[u8], traces: Option<&TraceCache>) -> CodecResult<Pa
                 )),
             };
             let mut cursor = trace.cursor();
-            if !cursor.seek(pos) {
-                return Err(CodecError::BadTag {
-                    what: "snapshot trace position",
-                    got: pos,
-                });
-            }
+            assert!(
+                cursor.seek(trace_pos),
+                "position checked against the budget"
+            );
             RunStream::Trace(cursor)
         }
-        got => {
-            return Err(CodecError::BadTag {
-                what: "snapshot stream kind",
-                got: u64::from(got),
-            })
-        }
     };
-    let trace_bytes = r.u64()?;
-    let cpu = McdProcessor::load(&mut r, header.sim_config(), header.controller_skeleton())?;
-    r.finish()?;
     Ok(PausableRun {
         benchmark: header.benchmark,
         config: header.config,
@@ -464,6 +490,54 @@ mod tests {
             restore(&trailing),
             Err(CodecError::TrailingBytes { .. })
         ));
+    }
+
+    #[test]
+    fn forged_trace_budget_is_rejected_before_materializing() {
+        let runner = BenchmarkRunner::new(9_000, 7).with_result_caching(false);
+        let mut run = runner.begin(Benchmark::Swim, &ConfigKind::BaselineMcd);
+        assert!(run.step(5_000).is_none());
+        let good = snapshot(&run);
+        let mut header = SnapshotHeader::peek(&good).unwrap();
+        let header_len = {
+            let mut w = ByteWriter::new();
+            header.save(&mut w);
+            w.into_vec().len()
+        };
+        let mut forge = |instructions: u64| {
+            header.instructions = instructions;
+            let mut w = ByteWriter::new();
+            header.save(&mut w);
+            let mut bytes = w.into_vec();
+            bytes.extend_from_slice(&good[header_len..]);
+            bytes
+        };
+        // An unbounded budget would size a trace of 2^64 instructions;
+        // it must fail as a typed error, with or without a trace cache.
+        let forged = forge(u64::MAX);
+        for cache in [None, runner.trace_cache().map(|c| &**c)] {
+            assert!(matches!(
+                restore_with(&forged, cache),
+                Err(CodecError::BadTag {
+                    what: "snapshot trace bytes",
+                    ..
+                })
+            ));
+        }
+        // A budget below the recorded trace position is rejected too.
+        assert_eq!(good[header_len], 1, "trace-backed stream");
+        let mut pos = [0u8; 8];
+        pos.copy_from_slice(&good[header_len + 1..header_len + 9]);
+        let pos = u64::from_le_bytes(pos);
+        assert!(pos > 0);
+        assert!(matches!(
+            restore(&forge(pos - 1)),
+            Err(CodecError::BadTag {
+                what: "snapshot trace position",
+                ..
+            })
+        ));
+        assert!(restore(&forge(9_000)).is_ok());
     }
 
     /// **Format pin.**  Freezes the canonical snapshot's header bytes and

@@ -13,6 +13,9 @@
 //! cargo run --release --example golden_dump > after.txt && diff before.txt after.txt
 //! ```
 //!
+//! The default-mode output is committed as `tests/golden/golden_dump.txt`;
+//! CI diffs every mode below against it.
+//!
 //! **Sliced mode:** setting `MCD_GOLDEN_SLICE=<kernel steps>` executes
 //! every run through repeated `run_for` pauses of that length instead of
 //! one unbounded `run`.  The output must be byte-identical to the default

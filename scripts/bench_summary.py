@@ -28,7 +28,9 @@ def kernel_micro(doc):
     print("### Kernel throughput (`microarch_components`)\n")
     if doc.get("nproc") is not None:
         print(f"_host parallelism (nproc): {doc['nproc']}_\n")
-    rows = [r for r in doc.get("benches", []) if r["id"].startswith("processor_run_")]
+    # Whole-kernel runs plus the per-edge clock cost beside them.
+    rows = [r for r in doc.get("benches", [])
+            if r["id"].startswith(("processor_run_", "clock_advance_"))]
     if rows:
         print("| bench | ms/iter |")
         print("|---|---|")

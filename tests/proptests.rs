@@ -1,6 +1,7 @@
 //! Property-based tests over the core data structures and invariants of the
 //! reproduction, spanning several crates.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
@@ -9,7 +10,11 @@ use mcd::clock::{DomainId, OperatingPointTable, SyncWindow};
 use mcd::control::{
     AttackDecayController, AttackDecayParams, DomainSample, FrequencyController, IntervalSample,
 };
-use mcd::core::{restore_with, snapshot, BenchmarkRunner, ConfigKind, TraceCache};
+use mcd::core::cache::StableHasher;
+use mcd::core::{
+    replay_verify, restore_with, snapshot, write_bundle, BenchmarkRunner, BundleError, BundleSpec,
+    ConfigKind, TraceCache,
+};
 use mcd::isa::{InstructionStream, MemInfo, Reg};
 use mcd::microarch::{
     Cache, CacheConfig, IssueQueue, LoadStoreQueue, LsqIssue, ReorderBuffer, RobEntry,
@@ -742,6 +747,117 @@ proptest! {
                 at,
                 word,
                 bit
+            );
+        }
+    }
+}
+
+/// The files of one freshly written bundle (a short gzip run under
+/// Attack/Decay with two checkpoints), written once and copied into a
+/// fresh directory by every mutation case.
+fn canonical_bundle() -> &'static [(String, Vec<u8>)] {
+    static BUNDLE: OnceLock<Vec<(String, Vec<u8>)>> = OnceLock::new();
+    BUNDLE.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("mcd-bundle-canon-{}", std::process::id()));
+        let spec = BundleSpec {
+            benchmark: Benchmark::Gzip,
+            config: ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
+            seed: 42,
+            instructions: 12_000,
+            interval_instructions: 10_000,
+            record_traces: false,
+            checkpoints: vec![3_000, 9_000],
+        };
+        write_bundle(&spec, &dir).expect("bundle writes");
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("bundle directory")
+            .map(|entry| {
+                let path = entry.expect("bundle entry").path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("bundle file"))
+            })
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Hostile-bytes contract of the bundle verifier: one random
+    /// corruption of a fresh bundle's manifest or of one of its snapshot
+    /// files — a bit flip, a random byte, or an 8-byte `u64::MAX`
+    /// overwrite — must make `replay_verify` return `Ok` or a typed
+    /// `BundleError`, never panic.  A corrupted snapshot must fail its
+    /// manifest hash; when the case also re-seals the manifest with the
+    /// corrupted file's hash, the hostile bytes reach the snapshot
+    /// decoder and the replay instead.
+    #[test]
+    fn replay_verify_never_panics_on_mutated_bundles(
+        victim in 0usize..3,
+        op in 0u8..3,
+        pos in 0u64..u64::MAX,
+        byte in 0u8..255,
+        bit in 0u32..8,
+        reseal in 0u8..2,
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let victim = ["MANIFEST.txt", "snapshot_00.bin", "snapshot_01.bin"][victim];
+        let dir = std::env::temp_dir().join(format!(
+            "mcd-bundle-mutant-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let files = canonical_bundle();
+        let file = |name: &str| &files.iter().find(|(n, _)| n == name).unwrap().1;
+        let mut bytes = file(victim).clone();
+        let at = (pos % (bytes.len() as u64 - 7)) as usize;
+        match op {
+            0 => bytes[at] ^= 1 << bit,
+            1 => bytes[at] = byte,
+            _ => bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes()),
+        }
+        let changed = bytes != *file(victim);
+        let reseal = reseal == 1 && victim != "MANIFEST.txt";
+        let mut manifest = file("MANIFEST.txt").clone();
+        if reseal {
+            let hex = |bytes: &[u8]| {
+                let mut h = StableHasher::new();
+                h.write_raw(bytes);
+                format!("{:032x}", h.finish())
+            };
+            let text = String::from_utf8(manifest).unwrap();
+            manifest = text.replace(&hex(file(victim)), &hex(&bytes)).into_bytes();
+        }
+        for (name, good) in files {
+            let out = match name.as_str() {
+                n if n == victim => &bytes,
+                "MANIFEST.txt" => &manifest,
+                _ => good,
+            };
+            std::fs::write(dir.join(name), out).unwrap();
+        }
+        let verdict = std::panic::catch_unwind(|| replay_verify(&dir).map(|_| ()));
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert!(
+            verdict.is_ok(),
+            "replay_verify panicked: {} op {} at {} (byte {:#x}, bit {})",
+            victim,
+            op,
+            pos,
+            byte,
+            bit
+        );
+        if changed && !reseal && victim != "MANIFEST.txt" {
+            let verdict = verdict.unwrap();
+            prop_assert!(
+                matches!(verdict, Err(BundleError::HashMismatch { .. })),
+                "corrupted {} was not caught by its hash: {:?}",
+                victim,
+                verdict
             );
         }
     }
