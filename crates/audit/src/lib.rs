@@ -1125,7 +1125,6 @@ pub fn workspace_codec_structs() -> Vec<CodecStruct> {
         ("crates/sim/src/events.rs", "DomainTimeline"),
         ("crates/sim/src/telemetry.rs", "DomainTrace"),
         ("crates/sim/src/telemetry.rs", "IntervalRecord"),
-        ("crates/workloads/src/generator.rs", "WorkloadGenerator"),
         ("crates/clock/src/ramp.rs", "FrequencyRamp"),
         ("crates/clock/src/clockgen.rs", "JitterModel"),
         ("crates/clock/src/clockgen.rs", "DomainClock"),

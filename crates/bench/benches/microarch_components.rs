@@ -21,11 +21,11 @@ use mcd_workloads::{Benchmark, SharedTrace, WorkloadGenerator};
 /// slab kernel refactor is measured against (ISSUE 1 acceptance
 /// criterion), and the dominant cost of every experiment in `mcd-core`.
 ///
-/// The `_traced` variants replay a pre-materialized [`SharedTrace`], so
-/// the frontend dispatches from the precomputed annotation sidecar
-/// instead of re-deriving producers from the rename map — the A/B pair
-/// quantifies the annotation-fed dispatch win (trace build cost is paid
-/// once outside the measurement loop, as it is in the engine).
+/// The `_traced` variants replay a pre-materialized [`SharedTrace`], the
+/// stream every engine run consumes (trace build cost is paid once
+/// outside the measurement loop, as it is in the engine); against the
+/// live-generator variants the pair isolates the generator's
+/// per-instruction cost.
 fn bench_processor_kernel(c: &mut Criterion) {
     let run = |bench: Benchmark, insts: u64| {
         let stream = WorkloadGenerator::new(&bench.spec(), 42, insts);
@@ -191,11 +191,9 @@ fn bench_workload_generation(c: &mut Criterion) {
 ///
 /// Alongside the timings, one instrumented run per kernel-bench workload
 /// records the event-timeline traffic counters (pushes, pops, drain
-/// passes — see `mcd_sim::EventTrafficStats`), the derived
-/// events-per-commit ratio, and the dispatch-path counters (`ann_fed`
-/// from an annotation-fed trace replay, `ann_recomputed` from the live
-/// run), making event traffic and annotation coverage measurable per
-/// workload per commit.
+/// passes — see `mcd_sim::EventTrafficStats`) and the derived
+/// events-per-commit ratio, making event traffic measurable per workload
+/// per commit.
 fn export_results(c: &mut Criterion) {
     let results = c.take_results();
     if results.is_empty() {
@@ -222,32 +220,19 @@ fn export_results(c: &mut Criterion) {
     ]
     .iter()
     .map(|&(bench, name)| {
-        let spec = bench.spec();
-        let stream = WorkloadGenerator::new(&spec, 42, 20_000);
+        let trace = std::sync::Arc::new(SharedTrace::materialize(&bench.spec(), 42, 20_000));
         let mut cpu = McdProcessor::new(
             SimConfig::baseline_mcd(20_000),
             Box::new(mcd_control::FixedController::at_max()),
         );
-        let live = cpu.run(stream);
-        let events = &live.host.events;
-        // A second, annotation-fed run of the same workload: bit-identical
-        // by contract, but its dispatch comes from the trace sidecar, so
-        // its `ann_fed` counter reports annotation coverage.
-        let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, 42, 20_000));
-        let mut cpu = McdProcessor::new(
-            SimConfig::baseline_mcd(20_000),
-            Box::new(mcd_control::FixedController::at_max()),
-        );
-        let traced = cpu.run(trace.cursor());
-        assert!(traced == live, "trace replay diverged in the bench export");
+        let run = cpu.run(trace.cursor());
+        let events = &run.host.events;
         let mut row = serde_json::Value::object();
         row.insert("workload", name);
         row.insert("timeline_pushes", events.pushes);
         row.insert("timeline_pops", events.pops);
         row.insert("drain_passes", events.drains);
-        row.insert("events_per_commit", live.events_per_commit());
-        row.insert("ann_fed", traced.host.ann_fed);
-        row.insert("ann_recomputed", live.host.ann_recomputed);
+        row.insert("events_per_commit", run.events_per_commit());
         row
     })
     .collect();

@@ -47,9 +47,6 @@ pub fn settings_from_env() -> ExperimentSettings {
     if let Some(cap) = max_live_runs_from_args(std::env::args()) {
         settings = settings.with_max_live_runs(cap);
     }
-    if bool_flag(std::env::args(), "--no-trace-share") {
-        settings = settings.with_share_traces(false);
-    }
     if bool_flag(std::env::args(), "--no-result-cache") {
         settings = settings.with_result_cache(false);
     }
@@ -57,9 +54,8 @@ pub fn settings_from_env() -> ExperimentSettings {
 }
 
 /// Returns whether `name` appears as a bare flag in the argument list
-/// (used for `--no-trace-share` / `--no-result-cache`; the matching
-/// environment escape hatches are `MCD_NO_TRACE_SHARE=1` /
-/// `MCD_NO_RESULT_CACHE=1`).
+/// (used for `--no-result-cache`; the matching environment escape hatch
+/// is `MCD_NO_RESULT_CACHE=1`).
 pub fn bool_flag(args: impl IntoIterator<Item = String>, name: &str) -> bool {
     args.into_iter().any(|a| a == name)
 }
@@ -292,8 +288,8 @@ mod tests {
     fn cache_disable_flags_are_detected() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert!(bool_flag(
-            args(&["bin", "--no-trace-share"]),
-            "--no-trace-share"
+            args(&["bin", "--no-result-cache"]),
+            "--no-result-cache"
         ));
         assert!(!bool_flag(args(&["bin"]), "--no-result-cache"));
     }

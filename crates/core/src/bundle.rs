@@ -27,9 +27,11 @@ use std::path::Path;
 use mcd_sim::SimResult;
 use serde::codec::{ByteReader, ByteWriter, CodecError};
 
-use crate::cache::{StableHasher, KEY_VERSION};
+use crate::cache::{StableHasher, TraceCache, KEY_VERSION};
 use crate::runner::{BenchmarkRunner, ConfigKind, RunOutcome};
-use crate::snapshot::{restore, snapshot, SnapshotHeader, SNAPSHOT_VERSION};
+use crate::snapshot::{
+    restore_with, snapshot, SnapshotHeader, MAX_RESTORE_INSTRUCTIONS, SNAPSHOT_VERSION,
+};
 use mcd_workloads::Benchmark;
 
 /// First line of every bundle manifest.
@@ -248,24 +250,30 @@ fn parse_result_artifact(bytes: &[u8]) -> Result<(u128, u64), BundleError> {
 /// and writes the bundle into `dir` (created if absent; existing
 /// artefact files are overwritten).
 ///
-/// The run streams live (no trace sharing) and skips the result cache,
-/// so the bundle's bytes depend on nothing but `spec` — writing the
-/// same spec twice yields byte-identical bundles.
+/// The run replays a freshly materialized trace and skips the result
+/// cache, so the bundle's bytes depend on nothing but `spec` — writing
+/// the same spec twice yields byte-identical bundles.
 ///
 /// # Errors
 ///
 /// Returns [`BundleError::Io`] on filesystem failures and
 /// [`BundleError::Manifest`] when `spec.checkpoints` is not strictly
-/// increasing.
+/// increasing or the budget exceeds [`MAX_RESTORE_INSTRUCTIONS`] (such a
+/// bundle's snapshots could not be restored).
 pub fn write_bundle(spec: &BundleSpec, dir: &Path) -> Result<BundleReport, BundleError> {
     if spec.checkpoints.windows(2).any(|w| w[0] >= w[1]) {
         return Err(BundleError::Manifest(
             "checkpoint offsets must be strictly increasing".into(),
         ));
     }
+    if spec.instructions > MAX_RESTORE_INSTRUCTIONS {
+        return Err(BundleError::Manifest(format!(
+            "budget of {} instructions exceeds the restorable maximum of {MAX_RESTORE_INSTRUCTIONS}",
+            spec.instructions
+        )));
+    }
     let mut runner = BenchmarkRunner::new(spec.instructions, spec.seed)
         .with_interval(spec.interval_instructions)
-        .with_trace_sharing(false)
         .with_result_caching(false);
     runner.record_traces = spec.record_traces;
 
@@ -408,6 +416,8 @@ pub fn replay_verify(dir: &Path) -> Result<BundleReport, BundleError> {
     })?;
     let (expected_digest, committed) = parse_result_artifact(find(RESULT_NAME)?)?;
 
+    // Every snapshot of the chain replays the same trace.
+    let traces = TraceCache::default();
     let mut verified = 0;
     for (name, bytes) in artifacts.iter().filter(|(n, _)| n.starts_with("snapshot_")) {
         let corrupt = |error| BundleError::SnapshotCorrupt {
@@ -421,7 +431,7 @@ pub fn replay_verify(dir: &Path) -> Result<BundleReport, BundleError> {
                 "{name} does not belong to this bundle's identity"
             )));
         }
-        let mut run = restore(bytes).map_err(corrupt)?;
+        let mut run = restore_with(bytes, Some(&traces)).map_err(corrupt)?;
         let outcome = loop {
             if let Some(o) = run.step(u64::MAX) {
                 break o;
@@ -472,6 +482,18 @@ mod tests {
         let verified = replay_verify(&dir).expect("clean bundle verifies");
         assert_eq!(verified, written);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_budget_over_the_restore_cap_is_refused_before_running() {
+        let dir = temp_bundle_dir("cap");
+        let mut spec = small_spec();
+        spec.instructions = MAX_RESTORE_INSTRUCTIONS + 1;
+        assert!(matches!(
+            write_bundle(&spec, &dir),
+            Err(BundleError::Manifest(_))
+        ));
+        assert!(!dir.exists(), "nothing is written for a refused spec");
     }
 
     #[test]

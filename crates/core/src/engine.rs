@@ -153,16 +153,6 @@ pub fn result_caching_enabled(explicit: Option<bool>) -> bool {
         .unwrap_or(true)
 }
 
-/// Resolves whether same-workload runs share one materialized
-/// instruction trace: an explicit request wins, then the
-/// `MCD_NO_TRACE_SHARE` environment variable (`1` disables), then
-/// enabled.
-pub fn trace_sharing_enabled(explicit: Option<bool>) -> bool {
-    explicit
-        .or_else(|| env_disabled_knob("MCD_NO_TRACE_SHARE"))
-        .unwrap_or(true)
-}
-
 /// Estimated relative host cost of simulating `bench`, used to order
 /// admission under a bounded [`max_live_runs`] cap (longest runs first).
 ///
@@ -558,7 +548,6 @@ impl ExperimentEngine {
         ExperimentEngine {
             runner: BenchmarkRunner::new(settings.instructions, settings.seed)
                 .with_interval(settings.interval_instructions)
-                .with_trace_sharing(trace_sharing_enabled(settings.share_traces))
                 .with_result_caching(result_caching_enabled(settings.result_cache)),
             workers,
             slice_cycles: slice_cycles(settings.slice_cycles),
@@ -617,10 +606,9 @@ impl ExperimentEngine {
         let misses: Vec<usize> = (0..specs.len())
             .filter(|&i| outcomes[i].is_none())
             .collect();
-        if let Some(cache) = self.runner.trace_cache() {
-            for &i in &misses {
-                cache.register(self.runner.trace_key(specs[i].benchmark), 1);
-            }
+        let traces = self.runner.trace_cache();
+        for &i in &misses {
+            traces.register(self.runner.trace_key(specs[i].benchmark), 1);
         }
         let fresh = run_sliced(
             self.workers,
@@ -944,7 +932,6 @@ mod tests {
             jobs: Some(2),
             slice_cycles: Some(3_000),
             max_live_runs: None,
-            share_traces: None,
             result_cache: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
@@ -1071,7 +1058,6 @@ mod tests {
             jobs: Some(2),
             slice_cycles: Some(3_000),
             max_live_runs: None,
-            share_traces: None,
             result_cache: None,
         };
         let engine = ExperimentEngine::from_settings(&settings);
@@ -1109,26 +1095,16 @@ mod tests {
             jobs: Some(2),
             slice_cycles: Some(2_000),
             max_live_runs: None,
-            share_traces: None,
             result_cache: None,
         };
         let cached = ExperimentEngine::from_settings(&base);
-        let uncached = ExperimentEngine::from_settings(
-            &base
-                .clone()
-                .with_share_traces(false)
-                .with_result_cache(false),
-        );
+        let uncached = ExperimentEngine::from_settings(&base.clone().with_result_cache(false));
         let plan = RunPlan::suite(&[Benchmark::Gzip]);
         let (a, _) = cached.execute_with_stats(&plan);
         let (b, stats) = uncached.execute_with_stats(&plan);
         assert_eq!(stats.result_cache_misses, 0, "caching was disabled");
-        assert_eq!(stats.trace_materializations, 0, "sharing was disabled");
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.result, y.result,
-                "trace replay and memoization must never change results"
-            );
+            assert_eq!(x.result, y.result, "memoization must never change results");
         }
     }
 }

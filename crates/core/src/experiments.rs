@@ -51,11 +51,6 @@ pub struct ExperimentSettings {
     /// `Some(0)`: unbounded).  Admission order never affects simulated
     /// results.
     pub max_live_runs: Option<usize>,
-    /// Share one materialized instruction trace across same-workload runs
-    /// (None: enabled unless `MCD_NO_TRACE_SHARE=1`).  Traces replay the
-    /// generator bit-identically, so this never affects simulated
-    /// results.
-    pub share_traces: Option<bool>,
     /// Memoize run results by content hash, serving byte-for-byte repeat
     /// cells without re-simulating (None: enabled unless
     /// `MCD_NO_RESULT_CACHE=1`).  Host-side telemetry aside, a served
@@ -84,7 +79,6 @@ impl ExperimentSettings {
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
-            share_traces: None,
             result_cache: None,
         }
     }
@@ -102,7 +96,6 @@ impl ExperimentSettings {
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
-            share_traces: None,
             result_cache: None,
         }
     }
@@ -139,12 +132,6 @@ impl ExperimentSettings {
     /// unbounded residency, the pre-cap behaviour).
     pub fn with_max_live_runs(mut self, max_live_runs: usize) -> Self {
         self.max_live_runs = Some(max_live_runs);
-        self
-    }
-
-    /// Builder-style enable/disable of shared instruction traces.
-    pub fn with_share_traces(mut self, share_traces: bool) -> Self {
-        self.share_traces = Some(share_traces);
         self
     }
 
@@ -772,7 +759,6 @@ mod tests {
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
-            share_traces: None,
             result_cache: None,
         }
     }
@@ -889,7 +875,6 @@ mod tests {
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
-            share_traces: None,
             result_cache: None,
         });
         let fig = figure4::from_outcomes(&outcomes);
@@ -931,7 +916,6 @@ mod tests {
             jobs: None,
             slice_cycles: None,
             max_live_runs: None,
-            share_traces: None,
             result_cache: None,
         };
         let sweep = sensitivity::sweep_decay(&settings, &[0.0005, 0.0075]);

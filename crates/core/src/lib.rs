@@ -58,10 +58,10 @@ pub mod snapshot;
 pub use bundle::{replay_verify, write_bundle, BundleError, BundleReport, BundleSpec};
 pub use cache::{result_key, ResultCache, ResultCacheStats, TraceCache, TraceCacheStats, TraceKey};
 pub use engine::{
-    admission_priority, parallel_map, result_caching_enabled, slice_cycles, trace_sharing_enabled,
-    worker_count, EngineStats, ExperimentEngine, JobSpec, RunPlan, DEFAULT_SLICE_CYCLES,
+    admission_priority, parallel_map, result_caching_enabled, slice_cycles, worker_count,
+    EngineStats, ExperimentEngine, JobSpec, RunPlan, DEFAULT_SLICE_CYCLES,
 };
 pub use experiments::ExperimentSettings;
 pub use metrics::{suite_average, Comparison, RunMetrics};
-pub use runner::{BenchmarkRunner, ConfigKind, PausableRun, RunOutcome, RunStream};
+pub use runner::{BenchmarkRunner, ConfigKind, PausableRun, RunOutcome};
 pub use snapshot::{restore, restore_with, snapshot, SnapshotHeader, SNAPSHOT_VERSION};

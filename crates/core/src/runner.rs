@@ -14,15 +14,14 @@ use mcd_control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
     GlobalScalingController, OfflineController, OfflineProfile,
 };
-use mcd_isa::{DynInst, InstructionStream};
 use mcd_sim::{McdProcessor, SimConfig, SimResult, StepOutcome};
-use mcd_workloads::{Benchmark, TraceCursor, WorkloadGenerator};
+use mcd_workloads::{Benchmark, TraceCursor};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{
     result_key, ResultCache, ResultCacheStats, TraceCache, TraceCacheStats, TraceKey,
 };
-use crate::engine::{result_caching_enabled, trace_sharing_enabled};
+use crate::engine::result_caching_enabled;
 
 /// Which of the paper's configurations to run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,61 +61,23 @@ impl ConfigKind {
     }
 }
 
-/// The instruction source of one run: a live generator, or a cursor
-/// over a shared materialized trace.  The two are bit-identical by
-/// construction ([`mcd_workloads::SharedTrace`] records a generator run
-/// to completion), so which variant a run uses never affects its
-/// [`SimResult`].
-#[derive(Debug, Clone)]
-pub enum RunStream {
-    /// Generate the stream on the fly (trace sharing disabled).
-    Live(WorkloadGenerator),
-    /// Replay a shared trace (the plan's same-workload runs hold cursors
-    /// into one `Arc<SharedTrace>`).
-    Trace(TraceCursor),
-}
-
-impl InstructionStream for RunStream {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        match self {
-            RunStream::Live(g) => g.next_inst(),
-            RunStream::Trace(c) => c.next_inst(),
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        match self {
-            RunStream::Live(g) => g.remaining_hint(),
-            RunStream::Trace(c) => c.remaining_hint(),
-        }
-    }
-
-    fn annotations(&self) -> Option<&mcd_isa::TraceAnnotations> {
-        match self {
-            // Live generation carries no precomputed sidecar; the
-            // frontend re-derives dependences from the rename map.
-            RunStream::Live(_) => None,
-            RunStream::Trace(c) => c.annotations(),
-        }
-    }
-}
-
 /// A simulation run that can execute in bounded slices.
 ///
 /// Produced by [`BenchmarkRunner::begin`]; the owner repeatedly calls
 /// [`PausableRun::step`] until it yields the outcome.  All of the run's
 /// state — the processor (with its controller, clocks, event queues and
-/// telemetry) *and* the instruction stream — is owned here, so the value
-/// can move freely between worker threads across pauses.  The sequence of
+/// telemetry) *and* its cursor into the shared instruction trace — is
+/// owned here, so the value can move freely between worker threads
+/// across pauses.  The sequence of
 /// slice boundaries does not affect the result: stepping in slices of any
 /// size yields a [`SimResult`] bit-identical to one unbounded run.
 pub struct PausableRun {
     pub(crate) benchmark: Benchmark,
     pub(crate) config: ConfigKind,
     pub(crate) cpu: McdProcessor,
-    pub(crate) stream: RunStream,
-    /// Bytes of the shared trace backing `stream` (0 for live
-    /// generation); stamped into the outcome's host stats at finish.
+    pub(crate) stream: TraceCursor,
+    /// Bytes of the shared trace backing `stream`; stamped into the
+    /// outcome's host stats at finish.
     pub(crate) trace_bytes: u64,
 }
 
@@ -206,19 +167,18 @@ pub struct BenchmarkRunner {
     /// the algorithms to act (see docs/ARCHITECTURE.md, "Substitutions").
     pub interval_instructions: u64,
     profiles: SharedProfileCache,
-    /// Shared-trace cache; `None` generates streams live
-    /// (`MCD_NO_TRACE_SHARE=1` or [`Self::with_trace_sharing`]).
-    traces: Option<Arc<TraceCache>>,
+    /// Shared-trace cache: every run replays a materialized trace leased
+    /// from here.
+    traces: Arc<TraceCache>,
     /// Content-addressed result memoization; `None` simulates every run
     /// (`MCD_NO_RESULT_CACHE=1` or [`Self::with_result_caching`]).
     results: Option<Arc<ResultCache>>,
 }
 
 impl BenchmarkRunner {
-    /// Creates a runner with the given per-run instruction budget.  Trace
-    /// sharing and result caching default to the environment knobs
-    /// (`MCD_NO_TRACE_SHARE` / `MCD_NO_RESULT_CACHE`, both enabled when
-    /// unset).
+    /// Creates a runner with the given per-run instruction budget.  Result
+    /// caching defaults to the `MCD_NO_RESULT_CACHE` environment knob
+    /// (enabled when unset).
     pub fn new(instructions: u64, seed: u64) -> Self {
         BenchmarkRunner {
             instructions,
@@ -226,7 +186,7 @@ impl BenchmarkRunner {
             record_traces: false,
             interval_instructions: 10_000,
             profiles: Arc::default(),
-            traces: trace_sharing_enabled(None).then(Arc::default),
+            traces: Arc::default(),
             results: result_caching_enabled(None).then(Arc::default),
         }
     }
@@ -243,16 +203,6 @@ impl BenchmarkRunner {
         self
     }
 
-    /// Builder-style enable/disable of shared-trace streams.
-    pub fn with_trace_sharing(mut self, enabled: bool) -> Self {
-        self.traces = match (enabled, self.traces.take()) {
-            (true, Some(cache)) => Some(cache),
-            (true, None) => Some(Arc::default()),
-            (false, _) => None,
-        };
-        self
-    }
-
     /// Builder-style enable/disable of result memoization.
     pub fn with_result_caching(mut self, enabled: bool) -> Self {
         self.results = match (enabled, self.results.take()) {
@@ -263,14 +213,14 @@ impl BenchmarkRunner {
         self
     }
 
-    /// The trace cache, when trace sharing is enabled.
-    pub fn trace_cache(&self) -> Option<&Arc<TraceCache>> {
-        self.traces.as_ref()
+    /// The trace cache every run of this runner leases from.
+    pub fn trace_cache(&self) -> &Arc<TraceCache> {
+        &self.traces
     }
 
-    /// Counters of the trace cache (zeros when sharing is disabled).
+    /// Counters of the trace cache.
     pub fn trace_cache_stats(&self) -> TraceCacheStats {
-        self.traces.as_ref().map(|c| c.stats()).unwrap_or_default()
+        self.traces.stats()
     }
 
     /// Counters of the result cache (zeros when caching is disabled).
@@ -376,37 +326,26 @@ impl BenchmarkRunner {
     }
 
     /// Builds (but does not start) the simulation of `bench` under `kind`:
-    /// the processor with its controller, warmed caches and the workload
-    /// stream, packaged as a [`PausableRun`].
+    /// the processor with its controller, warmed caches and a cursor over
+    /// the workload's shared trace, packaged as a [`PausableRun`].
     ///
     /// For [`ConfigKind::OfflineDynamic`] this gathers the profiling pass
     /// first (through the shared cache) — the experiment engine schedules
     /// those as explicit prerequisites so `begin` finds the cache warm.
     pub fn begin(&self, bench: Benchmark, kind: &ConfigKind) -> PausableRun {
-        let spec = bench.spec();
-        let (stream, warm_regions, trace_bytes) = match &self.traces {
-            Some(cache) => {
-                let trace = cache.lease(&spec, self.seed, self.instructions);
-                let bytes = trace.bytes();
-                let regions = trace.warm_regions().to_vec();
-                (RunStream::Trace(trace.cursor()), regions, bytes)
-            }
-            None => (
-                RunStream::Live(WorkloadGenerator::new(&spec, self.seed, self.instructions)),
-                WorkloadGenerator::warm_regions(&spec),
-                0,
-            ),
-        };
+        let trace = self
+            .traces
+            .lease(&bench.spec(), self.seed, self.instructions);
         let controller = self.controller(bench, kind);
         let config = self.sim_config(kind);
         let mut cpu = McdProcessor::new(config, controller);
-        cpu.warm_caches(&warm_regions);
+        cpu.warm_caches(trace.warm_regions());
         PausableRun {
             benchmark: bench,
             config: kind.clone(),
             cpu,
-            stream,
-            trace_bytes,
+            stream: trace.cursor(),
+            trace_bytes: trace.bytes(),
         }
     }
 

@@ -3,14 +3,15 @@
 //! [`snapshot`] serializes a [`PausableRun`] — the complete simulated
 //! machine (frontend, in-flight slab, LSQ, domain timelines, clocks and
 //! ramps, controller state, telemetry, main-loop state) *and* the
-//! instruction-stream cursor — into a self-describing byte container;
-//! [`restore`] rebuilds a run that continues bit-identically, on any
-//! thread, in any process.  The container's header records the run's
-//! *identity* (benchmark, [`ConfigKind`], seed, budgets), so a restore
-//! needs nothing but the bytes: the immutable halves of the machine
-//! (architectural tables, operating points, the controller's parameters,
-//! the workload phase table, a shared trace's contents) are rebuilt
-//! deterministically from that identity rather than serialized.
+//! position of its cursor into the shared instruction trace — into a
+//! self-describing byte container; [`restore`] rebuilds a run that
+//! continues bit-identically, on any thread, in any process.  The
+//! container's header records the run's *identity* (benchmark,
+//! [`ConfigKind`], seed, budgets), so a restore needs nothing but the
+//! bytes: the immutable halves of the machine (architectural tables,
+//! operating points, the controller's parameters, the shared trace's
+//! contents) are rebuilt deterministically from that identity rather
+//! than serialized.
 //!
 //! **Determinism.**  Snapshot bytes are a pure function of
 //! `(identity, cycle)`: no host time, pointers or allocation sizes leak
@@ -23,7 +24,7 @@
 //! **Versioning.**  [`SNAPSHOT_VERSION`] covers the container layout
 //! *and* every `save`/`load` pair it transitively invokes (the
 //! per-component codecs in `mcd-sim`, `mcd-control`, `mcd-clock`,
-//! `mcd-workloads`).  Old-version bytes are rejected on load rather than
+//! `mcd-microarch`).  Old-version bytes are rejected on load rather than
 //! misread.
 
 use std::sync::Arc;
@@ -35,11 +36,11 @@ use mcd_control::{
 };
 use mcd_isa::DynInst;
 use mcd_sim::{McdProcessor, SimConfig};
-use mcd_workloads::{Benchmark, SharedTrace, WorkloadGenerator};
+use mcd_workloads::{Benchmark, SharedTrace};
 use serde::codec::{ByteReader, ByteWriter, CodecError, Result as CodecResult};
 
 use crate::cache::TraceCache;
-use crate::runner::{ConfigKind, PausableRun, RunStream};
+use crate::runner::{ConfigKind, PausableRun};
 
 /// The container's leading magic bytes.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MCDSNAP\0";
@@ -63,7 +64,20 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MCDSNAP\0";
 /// its ready list, with no granule, cursors, bitmap, ring, overflow or
 /// lane, and the event-traffic counters shrink to pushes, pops and
 /// drains.
-pub const SNAPSHOT_VERSION: u16 = 4;
+/// v5 — every run replays a shared trace, so the stream-kind tag and the
+/// live-generator cursor state are gone: the header is followed directly
+/// by the trace position, `trace_bytes` and the machine.
+pub const SNAPSHOT_VERSION: u16 = 5;
+
+/// The largest instruction budget a snapshot may restore (and a bundle
+/// may record): ten times the largest preset budget
+/// (`ExperimentSettings::paper()`, 400 000 instructions).  A restore
+/// materializes the whole trace its header names, and both the header
+/// budget and `trace_bytes` are untrusted bytes; checking them against
+/// each other cannot stop a snapshot that forges both, so this cap
+/// bounds the allocation (about 288 MB of `DynInst`s) while leaving an
+/// order of magnitude of headroom over every preset.
+pub const MAX_RESTORE_INSTRUCTIONS: u64 = 4_000_000;
 
 /// The run identity recorded in a snapshot's header: everything needed
 /// to rebuild the immutable halves of the machine before overlaying the
@@ -108,7 +122,8 @@ fn save_config(w: &mut ByteWriter, kind: &ConfigKind) {
 }
 
 fn load_config(r: &mut ByteReader<'_>) -> CodecResult<ConfigKind> {
-    Ok(match r.u8()? {
+    let tag = r.u8()?;
+    let kind = match tag {
         0 => ConfigKind::FullySynchronous,
         1 => ConfigKind::BaselineMcd,
         2 => ConfigKind::AttackDecay(AttackDecayParams {
@@ -128,7 +143,22 @@ fn load_config(r: &mut ByteReader<'_>) -> CodecResult<ConfigKind> {
                 got: u64::from(got),
             })
         }
-    })
+    };
+    // The controller constructors panic on out-of-range parameters, so
+    // hostile headers stop here with the constructors' own conditions.
+    let valid = match &kind {
+        ConfigKind::AttackDecay(params) => params.validate().is_ok(),
+        ConfigKind::OfflineDynamic { target_degradation } => *target_degradation >= 0.0,
+        ConfigKind::GlobalScaling { freq_mhz } => *freq_mhz > 0.0,
+        ConfigKind::FullySynchronous | ConfigKind::BaselineMcd => true,
+    };
+    if !valid {
+        return Err(CodecError::BadTag {
+            what: "snapshot config parameters",
+            got: u64::from(tag),
+        });
+    }
+    Ok(kind)
 }
 
 impl SnapshotHeader {
@@ -184,14 +214,29 @@ impl SnapshotHeader {
                 got: u64::from(bench_idx),
             });
         }
-        Ok(SnapshotHeader {
+        let header = SnapshotHeader {
             benchmark: Benchmark::ALL[usize::from(bench_idx)],
             config: load_config(r)?,
             seed: r.u64()?,
             instructions: r.u64()?,
             interval_instructions: r.u64()?,
             record_traces: r.bool()?,
-        })
+        };
+        // The simulator refuses (by panicking) to build a machine with a
+        // zero budget or interval, so hostile headers stop here.
+        if header.instructions == 0 {
+            return Err(CodecError::BadTag {
+                what: "snapshot instruction budget",
+                got: 0,
+            });
+        }
+        if header.interval_instructions == 0 {
+            return Err(CodecError::BadTag {
+                what: "snapshot interval length",
+                got: 0,
+            });
+        }
+        Ok(header)
     }
 
     /// Parses just the header of a snapshot, without restoring the run
@@ -258,23 +303,14 @@ pub fn snapshot(run: &PausableRun) -> Vec<u8> {
     assert!(!run.is_done(), "cannot snapshot a finished run");
     let mut w = ByteWriter::new();
     SnapshotHeader::of(run).save(&mut w);
-    match &run.stream {
-        RunStream::Live(generator) => {
-            w.put_u8(0);
-            generator.save(&mut w);
-        }
-        RunStream::Trace(cursor) => {
-            w.put_u8(1);
-            w.put_u64(cursor.position());
-        }
-    }
+    w.put_u64(run.stream.position());
     w.put_u64(run.trace_bytes);
     run.cpu.save(&mut w);
     w.into_vec()
 }
 
-/// Rebuilds a paused run from [`snapshot`] output.  Trace-backed runs
-/// re-materialize their stream from the header identity.
+/// Rebuilds a paused run from [`snapshot`] output, re-materializing its
+/// trace from the header identity.
 ///
 /// # Errors
 ///
@@ -284,13 +320,14 @@ pub fn restore(bytes: &[u8]) -> CodecResult<PausableRun> {
     restore_with(bytes, None)
 }
 
-/// [`restore`], leasing trace-backed streams from `traces` so that many
-/// restores of same-workload snapshots share one materialization.
+/// [`restore`], leasing the trace from `traces` so that many restores of
+/// same-workload snapshots share one materialization.
 ///
-/// A trace-backed stream is sized by the header's instruction budget, so
-/// the rest of the snapshot is decoded and the budget checked against the
-/// recorded trace position and `trace_bytes` before anything is
-/// materialized: a forged budget is an error, not an allocation.
+/// The trace is sized by the header's instruction budget, so the rest of
+/// the snapshot is decoded and the budget checked against the recorded
+/// trace position, `trace_bytes` and [`MAX_RESTORE_INSTRUCTIONS`] before
+/// anything is leased or materialized: a forged budget is an error, not
+/// an allocation.
 ///
 /// # Errors
 ///
@@ -299,63 +336,45 @@ pub fn restore(bytes: &[u8]) -> CodecResult<PausableRun> {
 pub fn restore_with(bytes: &[u8], traces: Option<&TraceCache>) -> CodecResult<PausableRun> {
     let mut r = ByteReader::new(bytes);
     let header = SnapshotHeader::load(&mut r)?;
-    let spec = header.benchmark.spec();
-    let live = match r.u8()? {
-        0 => Some(WorkloadGenerator::load(
-            &mut r,
-            &spec,
-            header.seed,
-            header.instructions,
-        )?),
-        1 => None,
-        got => {
-            return Err(CodecError::BadTag {
-                what: "snapshot stream kind",
-                got: u64::from(got),
-            })
-        }
-    };
-    let trace_pos = match live {
-        Some(_) => 0,
-        None => r.u64()?,
-    };
+    let trace_pos = r.u64()?;
     let trace_bytes = r.u64()?;
     let cpu = McdProcessor::load(&mut r, header.sim_config(), header.controller_skeleton())?;
     r.finish()?;
-    let stream = match live {
-        Some(generator) => RunStream::Live(generator),
-        None => {
-            if trace_pos > header.instructions {
-                return Err(CodecError::BadTag {
-                    what: "snapshot trace position",
-                    got: trace_pos,
-                });
-            }
-            let min_bytes = header
-                .instructions
-                .checked_mul(std::mem::size_of::<DynInst>() as u64);
-            if min_bytes.is_none_or(|min| trace_bytes < min) {
-                return Err(CodecError::BadTag {
-                    what: "snapshot trace bytes",
-                    got: trace_bytes,
-                });
-            }
-            let trace = match traces {
-                Some(cache) => cache.lease(&spec, header.seed, header.instructions),
-                None => Arc::new(SharedTrace::materialize(
-                    &spec,
-                    header.seed,
-                    header.instructions,
-                )),
-            };
-            let mut cursor = trace.cursor();
-            assert!(
-                cursor.seek(trace_pos),
-                "position checked against the budget"
-            );
-            RunStream::Trace(cursor)
-        }
+    if trace_pos > header.instructions {
+        return Err(CodecError::BadTag {
+            what: "snapshot trace position",
+            got: trace_pos,
+        });
+    }
+    let min_bytes = header
+        .instructions
+        .checked_mul(std::mem::size_of::<DynInst>() as u64);
+    if min_bytes.is_none_or(|min| trace_bytes < min) {
+        return Err(CodecError::BadTag {
+            what: "snapshot trace bytes",
+            got: trace_bytes,
+        });
+    }
+    if header.instructions > MAX_RESTORE_INSTRUCTIONS {
+        return Err(CodecError::BadTag {
+            what: "snapshot instruction budget",
+            got: header.instructions,
+        });
+    }
+    let spec = header.benchmark.spec();
+    let trace = match traces {
+        Some(cache) => cache.lease(&spec, header.seed, header.instructions),
+        None => Arc::new(SharedTrace::materialize(
+            &spec,
+            header.seed,
+            header.instructions,
+        )),
     };
+    let mut stream = trace.cursor();
+    assert!(
+        stream.seek(trace_pos),
+        "position checked against the budget"
+    );
     Ok(PausableRun {
         benchmark: header.benchmark,
         config: header.config,
@@ -372,11 +391,7 @@ mod tests {
     use crate::runner::BenchmarkRunner;
 
     fn canonical_run() -> PausableRun {
-        // Trace sharing off: the canonical snapshot must carry the live
-        // generator cursor, independent of any cache state.
-        let runner = BenchmarkRunner::new(20_000, 42)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
+        let runner = BenchmarkRunner::new(20_000, 42).with_result_caching(false);
         runner.begin(
             Benchmark::Gzip,
             &ConfigKind::AttackDecay(AttackDecayParams::paper_defaults()),
@@ -385,9 +400,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_to_the_same_result() {
-        let runner = BenchmarkRunner::new(12_000, 42)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
+        let runner = BenchmarkRunner::new(12_000, 42).with_result_caching(false);
         let kind = ConfigKind::AttackDecay(AttackDecayParams::paper_defaults());
         let whole = runner.run(Benchmark::Gzip, &kind);
 
@@ -419,7 +432,6 @@ mod tests {
     #[test]
     fn trace_backed_snapshot_restores_through_a_shared_cache() {
         let runner = BenchmarkRunner::new(9_000, 7).with_result_caching(false);
-        assert!(runner.trace_cache().is_some(), "sharing on by default");
         let whole = runner.run(Benchmark::Swim, &ConfigKind::BaselineMcd);
 
         let mut run = runner.begin(Benchmark::Swim, &ConfigKind::BaselineMcd);
@@ -428,7 +440,7 @@ mod tests {
         drop(run);
 
         // Restoring against the same cache leases the existing trace.
-        let cache = runner.trace_cache().unwrap();
+        let cache = runner.trace_cache();
         let before = cache.stats().materializations;
         let mut restored = restore_with(&bytes, Some(cache)).expect("snapshot restores");
         assert_eq!(cache.stats().materializations, before);
@@ -515,7 +527,7 @@ mod tests {
         // An unbounded budget would size a trace of 2^64 instructions;
         // it must fail as a typed error, with or without a trace cache.
         let forged = forge(u64::MAX);
-        for cache in [None, runner.trace_cache().map(|c| &**c)] {
+        for cache in [None, Some(&**runner.trace_cache())] {
             assert!(matches!(
                 restore_with(&forged, cache),
                 Err(CodecError::BadTag {
@@ -525,9 +537,8 @@ mod tests {
             ));
         }
         // A budget below the recorded trace position is rejected too.
-        assert_eq!(good[header_len], 1, "trace-backed stream");
         let mut pos = [0u8; 8];
-        pos.copy_from_slice(&good[header_len + 1..header_len + 9]);
+        pos.copy_from_slice(&good[header_len..header_len + 8]);
         let pos = u64::from_le_bytes(pos);
         assert!(pos > 0);
         assert!(matches!(
@@ -540,10 +551,112 @@ mod tests {
         assert!(restore(&forge(9_000)).is_ok());
     }
 
+    #[test]
+    fn forged_controller_parameters_are_rejected() {
+        let mut run = canonical_run();
+        assert!(run.step(2_000).is_none());
+        let good = snapshot(&run);
+        let header = SnapshotHeader::peek(&good).unwrap();
+        let mut w = ByteWriter::new();
+        header.save(&mut w);
+        let header_len = w.into_vec().len();
+        let mut decay = AttackDecayParams::paper_defaults();
+        decay.decay = 100.0;
+        for config in [
+            ConfigKind::AttackDecay(decay),
+            ConfigKind::OfflineDynamic {
+                target_degradation: f64::NAN,
+            },
+            ConfigKind::GlobalScaling { freq_mhz: -1.0 },
+        ] {
+            let mut forged_header = header.clone();
+            forged_header.config = config;
+            let mut w = ByteWriter::new();
+            forged_header.save(&mut w);
+            let mut forged = w.into_vec();
+            forged.extend_from_slice(&good[header_len..]);
+            assert!(matches!(
+                restore(&forged),
+                Err(CodecError::BadTag {
+                    what: "snapshot config parameters",
+                    ..
+                })
+            ));
+        }
+    }
+
+    #[test]
+    fn restore_cap_covers_every_preset_tenfold() {
+        use crate::experiments::ExperimentSettings;
+        let presets = [ExperimentSettings::quick(), ExperimentSettings::paper()];
+        let largest = presets.iter().map(|s| s.instructions).max().unwrap();
+        assert_eq!(MAX_RESTORE_INSTRUCTIONS, 10 * largest);
+    }
+
+    #[test]
+    fn budgets_outside_the_cap_are_rejected_without_materializing() {
+        let runner = BenchmarkRunner::new(9_000, 7).with_result_caching(false);
+        let mut run = runner.begin(Benchmark::Swim, &ConfigKind::BaselineMcd);
+        assert!(run.step(5_000).is_none());
+        let good = snapshot(&run);
+        let mut header = SnapshotHeader::peek(&good).unwrap();
+        let mut w = ByteWriter::new();
+        header.save(&mut w);
+        let header_len = w.into_vec().len();
+        let mut pos = [0u8; 8];
+        pos.copy_from_slice(&good[header_len..header_len + 8]);
+
+        // Each forgery keeps the position and `trace_bytes` consistent
+        // with its budget, so only the budget checks stand between the
+        // header and a 4M-instruction trace (or a zero-budget machine,
+        // which the simulator refuses by panicking).
+        let cache = runner.trace_cache();
+        let before = cache.stats();
+        for (budget, pos) in [
+            (MAX_RESTORE_INSTRUCTIONS + 1, u64::from_le_bytes(pos)),
+            (0, 0),
+        ] {
+            header.instructions = budget;
+            let mut w = ByteWriter::new();
+            header.save(&mut w);
+            w.put_u64(pos);
+            w.put_u64(budget * std::mem::size_of::<DynInst>() as u64);
+            let mut forged = w.into_vec();
+            forged.extend_from_slice(&good[header_len + 16..]);
+            for traces in [Some(&**cache), None] {
+                assert!(matches!(
+                    restore_with(&forged, traces),
+                    Err(CodecError::BadTag {
+                        what: "snapshot instruction budget",
+                        got,
+                    }) if got == budget
+                ));
+            }
+        }
+        let after = cache.stats();
+        assert_eq!(after.materializations, before.materializations);
+        assert_eq!(after.hits, before.hits);
+        assert_eq!(after.peak_resident_bytes, before.peak_resident_bytes);
+
+        header.instructions = 9_000;
+        header.interval_instructions = 0;
+        let mut w = ByteWriter::new();
+        header.save(&mut w);
+        let mut forged = w.into_vec();
+        forged.extend_from_slice(&good[header_len..]);
+        assert!(matches!(
+            restore(&forged),
+            Err(CodecError::BadTag {
+                what: "snapshot interval length",
+                ..
+            })
+        ));
+    }
+
     /// **Format pin.**  Freezes the canonical snapshot's header bytes and
     /// 128-bit content hash (gzip under Attack/Decay paper defaults,
     /// seed 42, 20 000-instruction budget, paused after 5 000 kernel
-    /// steps, live stream).  If this test fails you changed the snapshot
+    /// steps).  If this test fails you changed the snapshot
     /// encoding — of the container or of any component codec it invokes.
     /// That is only correct when done deliberately: bump
     /// `SNAPSHOT_VERSION` and re-pin both values here.
@@ -553,10 +666,10 @@ mod tests {
         assert!(run.step(5_000).is_none());
         let bytes = snapshot(&run);
 
-        // Header: magic, version 4, gzip (index 23), Attack/Decay tag.
+        // Header: magic, version 5, gzip (index 23), Attack/Decay tag.
         let mut expected_header = Vec::new();
         expected_header.extend_from_slice(&SNAPSHOT_MAGIC);
-        expected_header.extend_from_slice(&4u16.to_le_bytes());
+        expected_header.extend_from_slice(&5u16.to_le_bytes());
         expected_header.push(23);
         expected_header.push(2);
         assert_eq!(
@@ -569,7 +682,7 @@ mod tests {
         h.write_raw(&bytes);
         assert_eq!(
             h.finish(),
-            0x010c_df42_f034_9f0d_571f_8ee6_9875_5766,
+            0xae3d_3490_b605_dab0_0138_510b_1f4e_548b,
             "snapshot content hash changed — the encoding of some component \
              drifted; bump SNAPSHOT_VERSION and re-pin this hash"
         );

@@ -36,8 +36,7 @@ impl MemInfo {
 
     /// Log2 of the store address-match filter granule in bytes (8-byte
     /// granules: the widest access size, so any byte overlap implies a
-    /// shared granule).  Canonical here so the LSQ's filter and the trace
-    /// annotations compute identical masks.
+    /// shared granule).
     pub const FILTER_GRANULE_SHIFT: u64 = 3;
 
     /// The 64-bucket address-filter mask of this access: bit `b` is set

@@ -141,51 +141,10 @@ impl McdProcessor {
             self.energy.record_access(Structure::Rob, 1, voltage);
 
             // Rename: record producers, then claim the destination.
-            //
-            // With a trace annotation sidecar the producer list comes from
-            // the precomputed last-writer edges filtered by in-flight
-            // liveness; this reproduces the rename map's answer exactly
-            // (see `mcd_isa::annotations` for the argument), which the
-            // debug build asserts.  The rename map itself is still
-            // maintained either way — it is serialized machine state and
-            // the live-generator path depends on it.
             let mut producers = Producers::default();
-            match stream.annotations() {
-                Some(ann) => {
-                    self.ann_fed += 1;
-                    for &edge in ann.edges(inst.seq) {
-                        let p = SeqNum::from(edge);
-                        if self.inflight.op_of(p).is_some() {
-                            producers.push(p);
-                        }
-                    }
-                    #[cfg(debug_assertions)]
-                    {
-                        let mut rename_derived = Producers::default();
-                        for r in inst.sources() {
-                            if let Some(p) = self.rename_map.producer(r) {
-                                rename_derived.push(p);
-                            }
-                        }
-                        debug_assert_eq!(
-                            producers, rename_derived,
-                            "annotation-fed producers diverged from rename at seq {}",
-                            inst.seq
-                        );
-                        debug_assert_eq!(ann.src_count(inst.seq), inst.sources().count() as u8);
-                        debug_assert_eq!(
-                            ann.flags(inst.seq) & mcd_isa::ANN_STORE != 0,
-                            inst.is_store()
-                        );
-                    }
-                }
-                None => {
-                    self.ann_recomputed += 1;
-                    for r in inst.sources() {
-                        if let Some(p) = self.rename_map.producer(r) {
-                            producers.push(p);
-                        }
-                    }
+            for r in inst.sources() {
+                if let Some(p) = self.rename_map.producer(r) {
+                    producers.push(p);
                 }
             }
             if let Some(dst) = inst.dst {
@@ -217,25 +176,9 @@ impl McdProcessor {
                 }
                 DomainId::LoadStore => {
                     let mem = inst.mem.expect("memory op has address");
-                    // The annotation sidecar carries the precomputed
-                    // address-filter mask; `insert_masked` debug-asserts
-                    // it against a fresh computation.
-                    match stream.annotations() {
-                        Some(ann) => self
-                            .lsq
-                            .insert_masked(
-                                inst.seq,
-                                inst.is_store(),
-                                mem,
-                                visible_at,
-                                ann.lsq_mask(inst.seq),
-                            )
-                            .expect("checked not full"),
-                        None => self
-                            .lsq
-                            .insert(inst.seq, inst.is_store(), mem, visible_at)
-                            .expect("checked not full"),
-                    }
+                    self.lsq
+                        .insert(inst.seq, inst.is_store(), mem, visible_at)
+                        .expect("checked not full");
                     self.energy
                         .record_access(Structure::Lsq, 1, self.voltage(DomainId::LoadStore));
                 }

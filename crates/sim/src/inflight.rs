@@ -90,13 +90,7 @@ const EMPTY: SeqNum = SeqNum::MAX;
 
 /// The producers of an instruction's source operands, inline (the
 /// historical `Vec<SeqNum>` allocated on every dispatch).
-///
-/// The derived equality compares the full inline array; slots beyond
-/// `len` are always zero (values are only ever pushed onto a default),
-/// so it coincides with logical equality.  The annotation-fed dispatch
-/// path debug-asserts its producer list against the rename-derived one
-/// through it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Producers {
     items: [SeqNum; MAX_SOURCES],
     len: u8,

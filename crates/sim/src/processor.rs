@@ -162,14 +162,6 @@ pub struct McdProcessor {
 
     // Statistics.
     pub(crate) committed: u64,
-    /// Instructions dispatched through a precomputed trace-annotation
-    /// sidecar (host telemetry only — not serialized: the counters
-    /// describe *how* this process dispatched, not simulated state, and a
-    /// restored run may legitimately continue on a different stream kind).
-    pub(crate) ann_fed: u64,
-    /// Instructions dispatched via live rename-map re-derivation (host
-    /// telemetry only — not serialized, see `ann_fed`).
-    pub(crate) ann_recomputed: u64,
     pub(crate) mispredict_redirects: u64,
     pub(crate) memory_accesses: u64,
     pub(crate) interval_index: u64,
@@ -278,8 +270,6 @@ impl McdProcessor {
             scratch_ready: Vec::with_capacity(config.arch.rob_size),
             energy: EnergyAccount::new(config.energy.clone()),
             committed: 0,
-            ann_fed: 0,
-            ann_recomputed: 0,
             mispredict_redirects: 0,
             memory_accesses: 0,
             interval_index: 0,
@@ -842,8 +832,6 @@ impl McdProcessor {
         // have executed on different worker threads).
         let mut host = HostStats::from_run(self.committed, self.run_state.wall_seconds);
         host.events = self.timeline.stats();
-        host.ann_fed = self.ann_fed;
-        host.ann_recomputed = self.ann_recomputed;
 
         SimResult {
             committed_instructions: self.committed,
@@ -869,7 +857,8 @@ mod tests {
     use super::*;
     use mcd_control::{AttackDecayController, AttackDecayParams, FixedController};
     use mcd_power::Structure;
-    use mcd_workloads::{Benchmark, WorkloadGenerator};
+    use mcd_workloads::{Benchmark, SharedTrace, WorkloadGenerator};
+    use std::sync::Arc;
 
     fn run_benchmark(
         bench: Benchmark,
@@ -1221,7 +1210,8 @@ mod tests {
         let mut reference = McdProcessor::new(cfg.clone(), make_controller());
         let unsliced = reference.run(stream);
 
-        let mut stream = WorkloadGenerator::new(&spec, 42, insts);
+        let trace = Arc::new(SharedTrace::materialize(&spec, 42, insts));
+        let mut stream = trace.cursor();
         let mut cpu = McdProcessor::new(cfg.clone(), make_controller());
         assert!(matches!(
             cpu.run_for(&mut stream, pause_at),
@@ -1229,14 +1219,15 @@ mod tests {
         ));
         let mut w = ByteWriter::new();
         cpu.save(&mut w);
-        stream.save(&mut w);
+        w.put_u64(stream.position());
         let bytes = w.into_vec();
         drop(cpu);
         drop(stream);
 
         let mut r = ByteReader::new(&bytes);
         let mut cpu = McdProcessor::load(&mut r, cfg, make_controller()).expect("restore");
-        let mut stream = WorkloadGenerator::load(&mut r, &spec, 42, insts).expect("stream restore");
+        let mut stream = trace.cursor();
+        assert!(stream.seek(r.u64().expect("stream position")));
         r.finish().expect("no trailing bytes");
         let restored = loop {
             if let StepOutcome::Finished(res) = cpu.run_for(&mut stream, u64::MAX) {

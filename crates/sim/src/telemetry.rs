@@ -139,7 +139,8 @@ pub struct HostStats {
     /// Event-timeline traffic counters of the run.
     pub events: EventTrafficStats,
     /// Bytes of the shared, materialized instruction trace backing this
-    /// run's stream (`0` when the stream was generated live).  Summing
+    /// run's stream (`0` when the processor was driven directly by a
+    /// generator rather than through a trace-backed run).  Summing
     /// over the distinct traces of a plan's runs accounts for the peak
     /// memory the trace-sharing layer adds.
     pub trace_bytes: u64,
@@ -147,13 +148,6 @@ pub struct HostStats {
     /// content-addressed result cache instead of a fresh simulation (the
     /// memoized outcome is bit-identical; only host telemetry differs).
     pub result_cache_hit: bool,
-    /// Instructions dispatched through the precomputed trace-annotation
-    /// sidecar (dependence edges and LSQ filter masks consumed instead of
-    /// re-derived).
-    pub ann_fed: u64,
-    /// Instructions dispatched the historical way — dependences re-derived
-    /// from the rename map (live-generated streams carry no sidecar).
-    pub ann_recomputed: u64,
 }
 
 impl HostStats {
@@ -178,8 +172,6 @@ impl HostStats {
             events: EventTrafficStats::default(),
             trace_bytes: 0,
             result_cache_hit: false,
-            ann_fed: 0,
-            ann_recomputed: 0,
         }
     }
 }

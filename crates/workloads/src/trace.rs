@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use mcd_isa::{DynInst, InstructionStream, TraceAnnotations};
+use mcd_isa::{DynInst, InstructionStream};
 
 use crate::generator::WorkloadGenerator;
 use crate::spec::WorkloadSpec;
@@ -28,10 +28,6 @@ use crate::spec::WorkloadSpec;
 #[derive(Debug, Clone)]
 pub struct SharedTrace {
     insts: Vec<DynInst>,
-    /// Precomputed per-instruction dispatch annotations (dependence
-    /// edges, LSQ filter masks, dispatch flags), paid once here so every
-    /// replaying run consumes them instead of re-deriving per run.
-    annotations: TraceAnnotations,
     warm_regions: Vec<(u64, u64)>,
     seed: u64,
 }
@@ -57,10 +53,8 @@ impl SharedTrace {
             "generator for {:?} stopped early",
             spec.name
         );
-        let annotations = TraceAnnotations::build(&insts);
         SharedTrace {
             insts,
-            annotations,
             warm_regions: WorkloadGenerator::warm_regions(spec),
             seed,
         }
@@ -83,16 +77,10 @@ impl SharedTrace {
     }
 
     /// Approximate resident size of the trace backing store in bytes
-    /// (instruction records plus the annotation sidecar), used for
-    /// plan-level peak-memory accounting.
+    /// (the instruction records), used for plan-level peak-memory
+    /// accounting.
     pub fn bytes(&self) -> u64 {
-        (self.insts.capacity() * std::mem::size_of::<DynInst>()) as u64 + self.annotations.bytes()
-    }
-
-    /// The precomputed per-instruction annotation sidecar (rows indexed
-    /// by sequence number = trace index).
-    pub fn annotations(&self) -> &TraceAnnotations {
-        &self.annotations
+        (self.insts.capacity() * std::mem::size_of::<DynInst>()) as u64
     }
 
     /// Memory regions `(base, length)` to warm before a run, identical to
@@ -161,10 +149,6 @@ impl InstructionStream for TraceCursor {
     fn remaining_hint(&self) -> Option<u64> {
         Some((self.trace.insts.len() - self.pos) as u64)
     }
-
-    fn annotations(&self) -> Option<&TraceAnnotations> {
-        Some(self.trace.annotations())
-    }
 }
 
 #[cfg(test)]
@@ -210,34 +194,15 @@ mod tests {
         assert_eq!(trace.len(), 64);
         assert!(!trace.is_empty());
         assert_eq!(trace.seed(), 1);
-        assert!(trace.bytes() >= 64 * std::mem::size_of::<mcd_isa::DynInst>() as u64);
+        assert_eq!(
+            trace.bytes(),
+            64 * std::mem::size_of::<mcd_isa::DynInst>() as u64
+        );
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_budget_panics_like_the_generator() {
         let _ = SharedTrace::materialize(&Benchmark::Gzip.spec(), 1, 0);
-    }
-
-    #[test]
-    fn annotations_are_exposed_and_match_a_fresh_build() {
-        let spec = Benchmark::Gzip.spec();
-        let trace = Arc::new(SharedTrace::materialize(&spec, 42, 500));
-        let cursor = trace.cursor();
-        let ann = cursor
-            .annotations()
-            .expect("trace cursors carry annotations");
-        assert_eq!(ann.len() as u64, trace.len());
-        // The sidecar is a pure function of the instruction slice.
-        let rebuilt = TraceAnnotations::build(trace.insts());
-        for inst in trace.insts() {
-            assert_eq!(ann.edges(inst.seq), rebuilt.edges(inst.seq));
-            assert_eq!(ann.flags(inst.seq), rebuilt.flags(inst.seq));
-            assert_eq!(ann.lsq_mask(inst.seq), rebuilt.lsq_mask(inst.seq));
-            assert_eq!(ann.src_count(inst.seq), rebuilt.src_count(inst.seq));
-        }
-        // A live generator has no sidecar.
-        let live = WorkloadGenerator::new(&spec, 42, 500);
-        assert!(live.annotations().is_none());
     }
 }

@@ -13,8 +13,10 @@
 //! cargo run --release --example golden_dump > after.txt && diff before.txt after.txt
 //! ```
 //!
-//! The default-mode output is committed as `tests/golden/golden_dump.txt`;
-//! CI diffs every mode below against it.
+//! Every run replays a cursor over a materialized
+//! [`mcd::workloads::SharedTrace`], the stream the experiment engine's
+//! runs consume.  The default-mode output is committed as
+//! `tests/golden/golden_dump.txt`; CI diffs every mode below against it.
 //!
 //! **Sliced mode:** setting `MCD_GOLDEN_SLICE=<kernel steps>` executes
 //! every run through repeated `run_for` pauses of that length instead of
@@ -28,24 +30,13 @@
 //! diff unsliced.txt sliced.txt      # any output = slicing changed behaviour
 //! ```
 //!
-//! **Shared-trace mode:** setting `MCD_GOLDEN_TRACE=1` feeds every run a
-//! cursor over a materialized [`mcd::workloads::SharedTrace`] instead of
-//! the live generator — the replay path the experiment engine's trace
-//! cache uses.  The output must again be byte-identical, alone and
-//! combined with `MCD_GOLDEN_SLICE`:
-//!
-//! ```sh
-//! MCD_GOLDEN_TRACE=1 cargo run --release --example golden_dump > traced.txt
-//! diff unsliced.txt traced.txt      # any output = trace replay changed behaviour
-//! ```
-//!
 //! **Checkpoint mode:** setting `MCD_GOLDEN_CKPT=<kernel steps>` pauses
 //! every run after that many steps, serializes the machine *and* its
-//! instruction stream with the snapshot codec, drops the live objects,
+//! trace position with the snapshot codec, drops the live objects,
 //! restores from the bytes, and runs the restored machine to completion.
 //! The output must be byte-identical to the default mode — this is how
 //! the golden matrix certifies checkpoint/restore bit-identity, alone
-//! and combined with the other two modes:
+//! and combined with the sliced mode:
 //!
 //! ```sh
 //! MCD_GOLDEN_CKPT=20000 cargo run --release --example golden_dump > ckpt.txt
@@ -56,9 +47,9 @@ use mcd::clock::OperatingPointTable;
 use mcd::control::{
     AttackDecayController, AttackDecayParams, FixedController, FrequencyController,
 };
-use mcd::isa::{DynInst, InstructionStream};
+use mcd::isa::InstructionStream;
 use mcd::sim::{McdProcessor, SimConfig, SimResult, StepOutcome};
-use mcd::workloads::{Benchmark, SharedTrace, TraceCursor, WorkloadGenerator};
+use mcd::workloads::{Benchmark, SharedTrace, TraceCursor};
 use serde::codec::{ByteReader, ByteWriter};
 use std::sync::Arc;
 
@@ -75,18 +66,6 @@ fn golden_slice() -> Option<u64> {
     Some(steps)
 }
 
-/// Whether `MCD_GOLDEN_TRACE` selects shared-trace replay.  Like
-/// [`golden_slice`], anything but `1` or `0` aborts so a typo cannot make
-/// the trace-vs-live CI diff compare two live dumps.
-fn golden_trace() -> bool {
-    match std::env::var("MCD_GOLDEN_TRACE") {
-        Err(_) => false,
-        Ok(v) if v == "0" => false,
-        Ok(v) if v == "1" => true,
-        Ok(v) => panic!("MCD_GOLDEN_TRACE must be 0 or 1, got {v:?}"),
-    }
-}
-
 /// The checkpoint position selected by `MCD_GOLDEN_CKPT`, if any.  Same
 /// abort-on-typo policy as [`golden_slice`]: a silently ignored value
 /// would make the checkpoint-vs-unsliced CI diff certify restores
@@ -98,37 +77,6 @@ fn golden_ckpt() -> Option<u64> {
         .unwrap_or_else(|_| panic!("MCD_GOLDEN_CKPT must be a positive integer, got {value:?}"));
     assert!(steps > 0, "MCD_GOLDEN_CKPT must be positive, got 0");
     Some(steps)
-}
-
-/// Either stream the golden matrix runs under, unified so the checkpoint
-/// path can serialize whichever one is live (the generator's full cursor
-/// state, or the shared-trace cursor's position).
-enum GoldenStream {
-    Live(WorkloadGenerator),
-    Traced(TraceCursor),
-}
-
-impl InstructionStream for GoldenStream {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        match self {
-            GoldenStream::Live(g) => g.next_inst(),
-            GoldenStream::Traced(c) => c.next_inst(),
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        match self {
-            GoldenStream::Live(g) => g.remaining_hint(),
-            GoldenStream::Traced(c) => c.remaining_hint(),
-        }
-    }
-
-    fn annotations(&self) -> Option<&mcd::isa::TraceAnnotations> {
-        match self {
-            GoldenStream::Live(_) => None,
-            GoldenStream::Traced(c) => c.annotations(),
-        }
-    }
 }
 
 fn run_to_completion<S: InstructionStream>(cpu: &mut McdProcessor, mut stream: S) -> SimResult {
@@ -147,7 +95,7 @@ fn run_to_completion<S: InstructionStream>(cpu: &mut McdProcessor, mut stream: S
 /// checkpoint position lies past the run's end — the finished result.
 enum Prepared {
     Finished(Box<SimResult>),
-    Ready(Box<McdProcessor>, GoldenStream),
+    Ready(Box<McdProcessor>, TraceCursor),
 }
 
 fn prepare(
@@ -156,12 +104,8 @@ fn prepare(
     cfg: SimConfig,
     make_ctrl: &dyn Fn() -> Box<dyn FrequencyController>,
 ) -> Prepared {
-    let spec = bench.spec();
-    let trace = golden_trace().then(|| Arc::new(SharedTrace::materialize(&spec, 42, insts)));
-    let mut stream = match &trace {
-        Some(t) => GoldenStream::Traced(t.cursor()),
-        None => GoldenStream::Live(WorkloadGenerator::new(&spec, 42, insts)),
-    };
+    let trace = Arc::new(SharedTrace::materialize(&bench.spec(), 42, insts));
+    let mut stream = trace.cursor();
     let mut cpu = McdProcessor::new(cfg.clone(), make_ctrl());
 
     if let Some(ckpt_steps) = golden_ckpt() {
@@ -170,32 +114,21 @@ fn prepare(
             // result is already the unsliced one.
             return Prepared::Finished(Box::new(r));
         }
-        // Serialize the paused machine and its stream, drop the live
-        // objects, and rebuild both from the bytes alone (plus the run
-        // identity, exactly as the snapshot container does).
+        // Serialize the paused machine and its trace position, drop the
+        // live objects, and rebuild both from the bytes alone (plus the
+        // run identity, exactly as the snapshot container does).
         let mut w = ByteWriter::new();
         cpu.save(&mut w);
-        match &stream {
-            GoldenStream::Live(g) => g.save(&mut w),
-            GoldenStream::Traced(c) => w.put_u64(c.position()),
-        }
+        w.put_u64(stream.position());
         let bytes = w.into_vec();
         drop(cpu);
         drop(stream);
 
         let mut r = ByteReader::new(&bytes);
         cpu = McdProcessor::load(&mut r, cfg, make_ctrl()).expect("golden checkpoint restores");
-        stream = match &trace {
-            Some(t) => {
-                let mut cursor = t.cursor();
-                let pos = r.u64().expect("trace cursor position present");
-                assert!(cursor.seek(pos), "trace cursor position out of range");
-                GoldenStream::Traced(cursor)
-            }
-            None => GoldenStream::Live(
-                WorkloadGenerator::load(&mut r, &spec, 42, insts).expect("generator restores"),
-            ),
-        };
+        stream = trace.cursor();
+        let pos = r.u64().expect("trace cursor position present");
+        assert!(stream.seek(pos), "trace cursor position out of range");
         r.finish().expect("no trailing checkpoint bytes");
     }
 

@@ -40,16 +40,14 @@ def kernel_micro(doc):
     traffic = doc.get("event_traffic", [])
     if traffic:
         print("### Event-timeline traffic (20k-instruction runs)\n")
-        print("| workload | pushes | pops | drain passes | events/commit "
-              "| ann fed | ann recomputed |")
-        print("|---|---|---|---|---|---|---|")
+        print("| workload | pushes | pops | drain passes | events/commit |")
+        print("|---|---|---|---|---|")
         for t in traffic:
             epc = t.get("events_per_commit")
             epc_cell = f"{epc:.3f}" if epc is not None else "-"
             print(
                 f"| {t['workload']} | {t['timeline_pushes']} | {t['timeline_pops']} "
-                f"| {t.get('drain_passes', '-')} | {epc_cell} "
-                f"| {t.get('ann_fed', '-')} | {t.get('ann_recomputed', '-')} |"
+                f"| {t.get('drain_passes', '-')} | {epc_cell} |"
             )
         print()
 
@@ -69,18 +67,13 @@ def engine_scaling(doc):
 
 
 def plan_scaling(doc):
-    print("### Plan scaling (shared traces + result memoization)\n")
-    ratio = doc.get("plan_over_pergen_speedup")
+    print("### Plan scaling (repeat plan served from the result cache)\n")
     print(f"- workers: **{doc.get('workers')}**, jobs: {doc.get('plan_jobs')} "
           f"(same-workload sweep)")
-    print(f"- shared-trace wall: {doc.get('wall_seconds', 0):.2f}s, "
-          f"per-run-generation wall: {doc.get('pergen_wall_seconds', 0):.2f}s")
+    print(f"- cold wall: {doc.get('wall_seconds', 0):.2f}s")
     print(f"- traces: {doc.get('trace_materializations')} materialization(s), "
           f"{doc.get('trace_cache_hits')} hits, "
           f"peak {doc.get('trace_peak_bytes', 0) / 1024:.0f} KiB resident")
-    if ratio is not None:
-        print(f"- **plan_over_pergen_speedup: {ratio:.3f}x** "
-              "(track in ROADMAP's plan-scaling baseline)")
     hits = doc.get("repeat_result_cache_hits")
     misses = doc.get("repeat_result_cache_misses")
     if hits is not None:

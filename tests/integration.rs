@@ -27,7 +27,6 @@ fn quick_settings(benchmarks: Vec<Benchmark>) -> ExperimentSettings {
         jobs: None,
         slice_cycles: None,
         max_live_runs: None,
-        share_traces: None,
         result_cache: None,
     }
 }

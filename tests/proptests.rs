@@ -549,16 +549,12 @@ proptest! {
         );
     }
 
-    /// Annotation-fed dispatch bit-identity: a [`SharedTrace`] carries a
-    /// precomputed annotation sidecar (last-writer dependence edges,
-    /// source counts, flags and memory filter masks), and the frontend
-    /// consumes it instead of re-deriving producers from the rename map
-    /// when the stream exposes one.  For *any* generated workload spec,
-    /// seed and sequence of pause boundaries, the annotation-fed replay
-    /// must produce a `SimResult` bit-identical to the live-generator run
-    /// that re-derives everything per dispatch — and every instruction
-    /// must actually take the annotation path, which the host-telemetry
-    /// counters (excluded from equality by design) make observable.
+    /// Replay bit-identity over arbitrary workload specs: for *any*
+    /// generated instruction mix, seed and sequence of pause boundaries,
+    /// a sliced [`SharedTrace`] replay — the stream every engine run
+    /// consumes, dispatched through the rename map like any other — must
+    /// produce a `SimResult` bit-identical to the unsliced live-generator
+    /// run of the same spec.
     #[test]
     fn annotation_fed_dispatch_matches_live_rename_derivation(
         int_alu in 0.1f64..0.6,
@@ -594,40 +590,28 @@ proptest! {
         let spec = WorkloadSpec::new("ann-prop", "proptest", vec![phase], 1.0);
         let insts = 3_000;
         let trace = std::sync::Arc::new(SharedTrace::materialize(&spec, seed, insts));
-        // One annotation row per recorded instruction.
-        prop_assert_eq!(trace.annotations().len(), insts as usize);
 
         let live = run_stream_with_slices(WorkloadGenerator::new(&spec, seed, insts), insts, &[]);
         let fed = run_stream_with_slices(trace.cursor(), insts, &slices);
         prop_assert!(
             fed == live,
-            "annotation-fed replay with slices {:?} diverged from the live run",
+            "trace replay with slices {:?} diverged from the live run",
             slices
         );
         prop_assert_eq!(fed.committed_instructions, insts);
-        // Dispatch-path accounting: the replay fed every instruction from
-        // the sidecar, the live run re-derived every one from the rename
-        // map (each instruction dispatches exactly once — there is no
-        // wrong-path refetch).
-        prop_assert_eq!(fed.host.ann_fed, insts);
-        prop_assert_eq!(fed.host.ann_recomputed, 0);
-        prop_assert_eq!(live.host.ann_fed, 0);
-        prop_assert_eq!(live.host.ann_recomputed, insts);
     }
 
     /// Snapshot/restore replay contract: for *any* chain of pause points
     /// — including degenerate single-step pauses, pauses mid-frequency-
-    /// ramp (Attack/Decay under a short control interval), and pauses
-    /// holding a mid-trace cursor (shared-trace replay) — serializing the
-    /// paused run to bytes, dropping the live run, and restoring from the
-    /// bytes must leave the final `SimResult` bit-identical to the
-    /// uninterrupted run.  This is the contract the run-bundle verifier
+    /// ramp (Attack/Decay under a short control interval), each holding
+    /// a mid-trace cursor — serializing the paused run to bytes, dropping
+    /// the live run, and restoring from the bytes must leave the final
+    /// `SimResult` bit-identical to the uninterrupted run.  This is the contract the run-bundle verifier
     /// rests on.
     #[test]
     fn snapshot_restore_chains_are_bit_identical(
         raw_pauses in proptest::collection::vec((0u8..4, 0u64..45_000), 1..6),
         bench_sel in 0u8..2,
-        share_sel in 0u8..2,
         config_sel in 0u8..2,
         seed in 0u64..1_000,
     ) {
@@ -646,13 +630,11 @@ proptest! {
         } else {
             ConfigKind::BaselineMcd
         };
-        let share_traces = share_sel == 1;
         let insts = 3_000;
         // The short control interval forces frequency ramps under
         // Attack/Decay, so some pause points land mid-ramp.
         let runner = BenchmarkRunner::new(insts, seed)
             .with_interval(500)
-            .with_trace_sharing(share_traces)
             .with_result_caching(false);
         let whole = runner.run(bench, &kind);
 
@@ -667,7 +649,7 @@ proptest! {
                 None => {
                     let bytes = snapshot(&run);
                     drop(run);
-                    run = restore_with(&bytes, runner.trace_cache().map(|c| c.as_ref()))
+                    run = restore_with(&bytes, Some(runner.trace_cache()))
                         .expect("snapshot restores");
                 }
             }
@@ -682,32 +664,23 @@ proptest! {
         };
         prop_assert!(
             outcome.result == whole.result,
-            "pause chain {:?} changed the result (sharing={})",
-            pauses,
-            share_traces
+            "pause chain {:?} changed the result",
+            pauses
         );
         prop_assert_eq!(outcome.result.committed_instructions, insts);
     }
 }
 
-/// One canonical paused snapshot per stream kind — live generator and
-/// shared-trace cursor — plus the trace cache the trace-backed one
-/// restores through.  Built once and shared by every mutation case.
-fn canonical_snapshots() -> &'static (Vec<u8>, Vec<u8>, Arc<TraceCache>) {
-    static SNAPSHOTS: OnceLock<(Vec<u8>, Vec<u8>, Arc<TraceCache>)> = OnceLock::new();
-    SNAPSHOTS.get_or_init(|| {
+/// One canonical paused snapshot plus the trace cache it restores
+/// through.  Built once and shared by every mutation case.
+fn canonical_snapshot() -> &'static (Vec<u8>, Arc<TraceCache>) {
+    static SNAPSHOT: OnceLock<(Vec<u8>, Arc<TraceCache>)> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let runner = BenchmarkRunner::new(20_000, 42).with_result_caching(false);
         let kind = ConfigKind::AttackDecay(AttackDecayParams::paper_defaults());
-        let paused = |runner: &BenchmarkRunner| {
-            let mut run = runner.begin(Benchmark::Gzip, &kind);
-            assert!(run.step(5_000).is_none(), "run must pause mid-flight");
-            snapshot(&run)
-        };
-        let live = BenchmarkRunner::new(20_000, 42)
-            .with_trace_sharing(false)
-            .with_result_caching(false);
-        let traced = BenchmarkRunner::new(20_000, 42).with_result_caching(false);
-        let cache = Arc::clone(traced.trace_cache().expect("sharing on by default"));
-        (paused(&live), paused(&traced), cache)
+        let mut run = runner.begin(Benchmark::Gzip, &kind);
+        assert!(run.step(5_000).is_none(), "run must pause mid-flight");
+        (snapshot(&run), Arc::clone(runner.trace_cache()))
     })
 }
 
@@ -718,7 +691,6 @@ proptest! {
     /// corruption of a valid snapshot — a bit flip, a random byte, or an
     /// 8-byte overwrite with `u64::MAX` or a random word — must make
     /// `restore` return `Ok` or a typed `CodecError`, never panic.
-    /// Every case corrupts both the live and the trace-backed snapshot.
     #[test]
     fn restore_never_panics_on_mutated_snapshots(
         op in 0u8..4,
@@ -726,29 +698,26 @@ proptest! {
         word in 0u64..u64::MAX,
         bit in 0u32..8,
     ) {
-        let (live, traced, cache) = canonical_snapshots();
-        for (name, good) in [("live", live), ("trace-backed", traced)] {
-            let mut bytes = good.clone();
-            let at = (pos % (bytes.len() as u64 - 7)) as usize;
-            match op {
-                0 => bytes[at] ^= 1 << bit,
-                1 => bytes[at] = word as u8,
-                2 => bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes()),
-                _ => bytes[at..at + 8].copy_from_slice(&word.to_le_bytes()),
-            }
-            let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                restore_with(&bytes, Some(cache)).map(|_| ())
-            }));
-            prop_assert!(
-                restored.is_ok(),
-                "restore of the {} snapshot panicked: op {} at byte {} (word {:#x}, bit {})",
-                name,
-                op,
-                at,
-                word,
-                bit
-            );
+        let (good, cache) = canonical_snapshot();
+        let mut bytes = good.clone();
+        let at = (pos % (bytes.len() as u64 - 7)) as usize;
+        match op {
+            0 => bytes[at] ^= 1 << bit,
+            1 => bytes[at] = word as u8,
+            2 => bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes()),
+            _ => bytes[at..at + 8].copy_from_slice(&word.to_le_bytes()),
         }
+        let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            restore_with(&bytes, Some(cache)).map(|_| ())
+        }));
+        prop_assert!(
+            restored.is_ok(),
+            "restore of the snapshot panicked: op {} at byte {} (word {:#x}, bit {})",
+            op,
+            at,
+            word,
+            bit
+        );
     }
 }
 
